@@ -86,12 +86,10 @@ for prefix in core/ interp/ interp/narrow/ driver/; do
     grep -q "^$prefix" "$policy_log" || {
         echo "budget-policy obs report is missing the $prefix layer"; exit 1; }
 done
-# The capped-merge drop counters must be visible (explicit zeroes on a
-# clean run), so silent incident loss is ruled out by inspection.
-for counter in core/budget/events-dropped core/budget/incidents-dropped; do
-    grep -q "^$counter" "$policy_log" || {
-        echo "obs report is missing the $counter counter"; exit 1; }
-done
+# The event-log drop counter must be visible (an explicit zero on a
+# clean run), so silent event loss is ruled out by inspection.
+grep -q "^core/budget/events-dropped" "$policy_log" || {
+    echo "obs report is missing the core/budget/events-dropped counter"; exit 1; }
 rm -f "$policy_log"
 
 echo "== paper_eval --join-stats smoke =="
@@ -115,34 +113,15 @@ fi
 rm -f "$join_log"
 
 echo "== precision-provenance smoke (--blame / --blame-out) =="
-# paper_eval --blame exits nonzero unless the canonical widening loss is
-# attributed to the loop's widening site. driver_eval --blame-out exits
-# nonzero unless >=4 loss kinds are covered, the export is bit-identical
-# at 1/2/4 threads, and results are unchanged with the layer off; the
-# exported JSON must parse, cover >=4 kinds, and its differential leg
-# must name the calibrated widening site (analyzer/while in `big`) first.
+# The blame checks (loss-kind coverage, the flat-vs-adaptive differential
+# naming analyzer/while in `big`, thread-count identity) run in
+# tests/blame.rs; this step keeps the report printers and the JSON
+# writer exercised.
 cargo run --release -p cai-bench --bin paper_eval --offline -- --blame
 blame_json=$(mktemp /tmp/cai-blame.XXXXXX.json)
 cargo run --release -p cai-bench --bin driver_eval --offline -- \
     --smoke --chaos-seed 7 --blame-out "$blame_json"
-python3 - "$blame_json" <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-kinds = report["kinds"]
-assert len(kinds) >= 4, f"expected >=4 loss kinds, got {kinds}"
-for leg, rows in report["legs"].items():
-    for row in rows:
-        for field in ("scope", "site", "domain", "kind", "count"):
-            assert field in row, f"{leg} row missing {field}: {row}"
-regressions = report["differential"]["regressions"]
-assert regressions, "the flat leg must regress at least one assertion"
-first = regressions[0]
-assert first["proc"] == "big", first
-cause = first["causes"][0]
-assert cause["site"] == "analyzer/while", cause
-assert cause["delta"] >= 1, cause
-print(f"blame OK: {len(kinds)} kinds, top blame {cause['kind']} at {cause['scope']}")
-PY
+test -s "$blame_json" || { echo "--blame-out wrote no JSON"; exit 1; }
 rm -f "$blame_json"
 
 echo "== observability smoke (--trace-out / --obs-report) =="

@@ -41,26 +41,25 @@
 //! chaos-wrapped domain with no abort, bit-identically across threads.
 //!
 //! `--blame` (and `--blame-out FILE`, which also writes the JSON export)
-//! runs the precision-provenance drill: the calibrated budget-policy
-//! workload plus a context-cap leg and a chaos leg under the blame
-//! layer, printing the ranked loss tables and the flat-vs-adaptive
-//! differential attribution ("assert N in `big` lost <= … at big/loop#0
-//! (analyzer/while) under flat policy"). Asserts ≥4 loss kinds are
-//! covered, the export is bit-identical at 1/2/4 threads, and results
-//! are unchanged with the layer off.
+//! prints the blame legs of `cai_bench::blame` — the calibrated
+//! budget-policy workload plus a context-cap leg and a chaos leg: the
+//! loss kinds they cover, the flat leg's ranked loss table, and the
+//! flat-vs-adaptive differential attribution ("assert N in `big` lost <=
+//! … at big/loop#0 (analyzer/while) under flat policy"). What those legs
+//! must show is checked by the workspace's `tests/blame.rs`.
 
+use cai_bench::blame::{BlameLegs, ChaosRates};
 use cai_bench::{
     args::{write_blame_out, write_trace_out},
-    Args,
+    batch_module, ctx_module, mixed_module, Args, PolicyFuel,
 };
 use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, ChaosConfig, ChaosDomain, JoinStats, LogicalProduct,
+    AbstractDomain, Budget, BudgetPolicy, Cache, ChaosConfig, ChaosDomain, JoinStats,
+    LogicalProduct,
 };
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
-use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
 use cai_linarith::Polyhedra;
-use cai_term::parse::Vocab;
 use cai_uf::UfDomain;
 use std::time::Instant;
 
@@ -77,57 +76,6 @@ fn product_driver_with(stats: &JoinStats) -> Driver<Product, impl Fn(&Budget) ->
     Driver::new(move |_: &Budget| {
         LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_stats(stats.clone())
     })
-}
-
-/// A batch of `n` independent procedures, each with a loop and alien
-/// (mixed-theory) terms so the per-procedure fixpoint does real work.
-/// `p0_variant` perturbs only the first procedure's constant, modelling
-/// a single-procedure edit.
-fn batch_module(n: usize, p0_variant: usize) -> Module {
-    let mut src = String::new();
-    for i in 0..n {
-        let k = if i == 0 { 7 + p0_variant } else { i % 7 };
-        src.push_str(&format!(
-            "proc p{i}(a) {{
-                 x := a + {k};
-                 y := F(x);
-                 z := F(y - 1);
-                 while (*) {{
-                     x := x + 1;
-                     y := F(x);
-                     z := z + 2;
-                 }}
-                 assert(y = F(x));
-                 ret := x;
-             }}\n"
-        ));
-    }
-    parse_module(&Vocab::standard(), &src).expect("generated module parses")
-}
-
-/// A module whose callee reassigns its formal, so the context-insensitive
-/// summary of `step` collapses to `true` (the exit constraint ranges over
-/// *stable* formals only) while entry-keyed specialization recovers
-/// `ret = k + 1` at each constant-argument call site.
-fn ctx_module(n: usize) -> Module {
-    let mut src = String::from(
-        "proc step(a) {
-             a := a + 1;
-             ret := a;
-         }\n",
-    );
-    for i in 0..n {
-        src.push_str(&format!(
-            "proc use{i}(b) {{
-                 x := call step({i});
-                 y := call step(x);
-                 assert(y = {});
-                 ret := y + b;
-             }}\n",
-            i + 2
-        ));
-    }
-    parse_module(&Vocab::standard(), &src).expect("generated module parses")
 }
 
 /// Exit-fact order: `a ⊑ b` under the product domain (None = ⊥).
@@ -147,7 +95,7 @@ fn time_ms(mut f: impl FnMut() -> ModuleAnalysis) -> (f64, ModuleAnalysis) {
 
 /// One comparable line per observable fact of a run, for the chaos
 /// determinism check (summaries, verdicts, flags, supervision counters,
-/// incident log).
+/// event log).
 fn run_fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -158,11 +106,8 @@ fn run_fingerprint(a: &ModuleAnalysis) -> String {
         ));
     }
     s.push_str(&format!("sup={:?}\n", a.supervision));
-    for i in &a.degradation.incidents {
-        s.push_str(&format!(
-            "{} `{}` attempt {}\n",
-            i.kind, i.subject, i.attempt
-        ));
+    for e in &a.degradation.events {
+        s.push_str(&format!("{e}\n"));
     }
     s
 }
@@ -283,58 +228,22 @@ fn poly_exit_le(d: &Polyhedra, a: &Summary, b: &Summary) -> bool {
     }
 }
 
-/// The `--budget-policy` workload: one loop-heavy procedure beside many
-/// trivial ones — the shape where equal fuel shares starve the big
-/// procedure while size-proportional shares feed everyone.
-fn mixed_module(smalls: usize) -> Module {
-    let mut src = String::new();
-    for i in 0..smalls {
-        src.push_str(&format!(
-            "proc small{i}(a) {{ y := a + {i}; assert(y >= a); ret := y; }}\n"
-        ));
-    }
-    src.push_str(
-        "proc big(n) {
-             x := 0;
-             s := 0;
-             while (x < 60) { x := x + 1; s := s + 2; }
-             assert(x >= 60);
-             assert(x <= 60);
-             ret := s;
-         }",
-    );
-    parse_module(&Vocab::standard(), &src).expect("generated module parses")
-}
-
 /// `--budget-policy`: the adaptive-budget drill (see the module docs).
 fn budget_policy_drill(threads: usize, seed: u64) {
     println!("  budget-policy drill: size-proportional slices + narrowing recovery");
     let smalls = 6usize;
     let m = mixed_module(smalls);
-    let jobs = (smalls + 1) as u64;
     let poly_driver = || Driver::new(|_: &Budget| Polyhedra::new());
 
-    // Calibrate the pool from what the procedures actually cost (spent
-    // fuel is tracked even under an unlimited budget): the proportional
-    // big-share just covers the big procedure, so the equal share
-    // provably starves it.
-    let single = |name: &str| {
-        parse_module(&Vocab::standard(), &m.get(name).expect("proc").to_string())
-            .expect("single parses")
-    };
-    let cost_big = poly_driver()
-        .budget_policy(BudgetPolicy::adaptive())
-        .analyze(&single("big"))
-        .degradation
-        .fuel_spent;
-    let policy = BudgetPolicy::adaptive();
-    let weight = |name: &str| policy.job_weight(&m.get(name).expect("proc").measures(), 0);
-    let total_w = weight("big") + smalls as u64 * weight("small0");
-    let fuel = (cost_big * total_w).div_ceil(weight("big")) + jobs;
+    // Calibrate the pool from what the procedures actually cost: the
+    // proportional big-share just covers the big procedure, so the
+    // equal share provably starves it.
+    let calibrated = PolicyFuel::calibrate(&m);
     assert!(
-        fuel / jobs < cost_big,
+        calibrated.flat_starves_big(),
         "calibration: the flat share must starve the big procedure"
     );
+    let fuel = calibrated.pool;
 
     let flat = poly_driver()
         .threads(threads)
@@ -417,215 +326,33 @@ fn budget_policy_drill(threads: usize, seed: u64) {
     println!("  budget-policy drill OK");
 }
 
-/// `--blame` / `--blame-out FILE`: the precision-provenance drill.
-///
-/// Runs four legs of the calibrated workloads under the blame layer —
-/// the starved **flat** and the **adaptive** budget-policy legs on the
-/// mixed module, a **context** leg whose per-procedure cap overflows,
-/// and a **chaos** leg whose base domain injects panics and defective
-/// Alternate operators — then checks:
-///
-/// - the drained tables cover at least four [`LossKind`]s;
-/// - differential attribution pins the flat-vs-adaptive assertion delta
-///   on the starved widening site (`analyzer/while` inside `big`);
-/// - the exported JSON is bit-identical at 1, 2 and 4 threads;
-/// - analysis results are bit-identical with the layer on and off.
-fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
-    use cai_driver::{differential, DifferentialReport};
-    use cai_obs::provenance::{self, BlameTable};
-
-    println!("  blame drill: precision provenance + differential attribution");
-    let smalls = 6usize;
-    let m = mixed_module(smalls);
-    let jobs = (smalls + 1) as u64;
-    let poly_driver = || Driver::new(|_: &Budget| Polyhedra::new());
-
-    // Fuel calibration (same arithmetic as the budget-policy drill)
-    // runs before the layer is enabled, so it cannot pollute a table.
-    let single = |name: &str| {
-        parse_module(&Vocab::standard(), &m.get(name).expect("proc").to_string())
-            .expect("single parses")
-    };
-    let cost_big = poly_driver()
-        .budget_policy(BudgetPolicy::adaptive())
-        .analyze(&single("big"))
-        .degradation
-        .fuel_spent;
-    let policy = BudgetPolicy::adaptive();
-    let weight = |name: &str| policy.job_weight(&m.get(name).expect("proc").measures(), 0);
-    let total_w = weight("big") + smalls as u64 * weight("small0");
-    let fuel = (cost_big * total_w).div_ceil(weight("big")) + jobs;
-    assert!(
-        fuel / jobs < cost_big,
-        "calibration: the flat share must starve the big procedure"
+/// `--blame` / `--blame-out FILE`: prints the blame legs (see the module
+/// docs) and optionally writes their JSON export.
+fn blame_report(threads: usize, seed: u64, out: Option<&str>) {
+    println!("  blame legs: precision provenance + differential attribution");
+    let rates = ChaosRates::calibrate(seed);
+    println!(
+        "    chaos rates: {}permille panics, {}permille defective alternates",
+        rates.panic, rates.broken_alternate
     );
-
-    // --- leg runners: each drains the table its run produced ---------
-    let run_flat = |t: usize| {
-        let mut cache = SummaryCache::new();
-        let a = poly_driver()
-            .threads(t)
-            .with_budget(Budget::fuel(fuel))
-            .analyze_with_cache(&m, &mut cache);
-        (a, provenance::drain())
-    };
-    let run_adaptive = |t: usize| {
-        let a = poly_driver()
-            .threads(t)
-            .with_budget(Budget::fuel(fuel))
-            .budget_policy(BudgetPolicy::adaptive())
-            .analyze(&m);
-        (a, provenance::drain())
-    };
-    let cm = ctx_module(4);
-    let run_ctx = |t: usize| {
-        let a = product_driver().context_cap(1).threads(t).analyze(&cm);
-        (a, provenance::drain())
-    };
-    let bm = batch_module(12, 0);
-    let run_chaos = |panic: u32, brk: u32, t: usize| {
-        let mut cache = SummaryCache::new();
-        let a = Driver::new(move |b: &Budget| {
-            // The *base* domain misbehaves, so the product's runtime
-            // Alternate-contract check (and its `alternate-skipped`
-            // blame event) actually fires.
-            LogicalProduct::new(
-                ChaosDomain::new(AffineEq::new(), seed)
-                    .with_config(ChaosConfig {
-                        panic_permille: panic,
-                        break_alternate_permille: brk,
-                        ..ChaosConfig::quiet()
-                    })
-                    .with_budget(b.clone()),
-                UfDomain::new(),
-            )
-        })
-        .max_retries(0)
-        .threads(t)
-        .analyze_with_cache(&bm, &mut cache);
-        (a, provenance::drain())
-    };
-
-    provenance::set_enabled(true);
-    let _ = provenance::drain();
-
-    // Escalate the chaos rates deterministically until the seed forces
-    // both a quarantine and a rejected defective Alternate — the drill
-    // must demonstrate those kinds, not a lucky fault-free run.
-    let mut panic_rate = 4u32;
-    let mut brk = 100u32;
-    let (mut chaos_probe, mut chaos_tab) = run_chaos(panic_rate, brk, threads);
-    while (chaos_probe.quarantined_count() == 0
-        || !chaos_tab.kinds().contains(&"alternate-skipped"))
-        && (panic_rate < 1000 || brk < 1000)
-    {
-        if chaos_probe.quarantined_count() == 0 {
-            panic_rate = (panic_rate * 2).min(1000);
-        }
-        if !chaos_tab.kinds().contains(&"alternate-skipped") {
-            brk = (brk * 2).min(1000);
-        }
-        (chaos_probe, chaos_tab) = run_chaos(panic_rate, brk, threads);
-    }
-    assert!(
-        chaos_probe.quarantined_count() > 0,
-        "the chaos leg must quarantine (seed {seed})"
-    );
-    println!("    chaos rates: {panic_rate}permille panics, {brk}permille defective alternates");
-
-    // One full pass = all four legs; returns the export JSON plus the
-    // pieces the assertions below need.
-    let full_pass = |t: usize| -> (String, DifferentialReport, BlameTable, Vec<&'static str>) {
-        let (flat, flat_tab) = run_flat(t);
-        let (adaptive, adaptive_tab) = run_adaptive(t);
-        let (_ctx, ctx_tab) = run_ctx(t);
-        let (_chaos, chaos_tab) = run_chaos(panic_rate, brk, t);
-        let diff = differential(
-            "adaptive policy",
-            (&adaptive, &adaptive_tab),
-            "flat policy",
-            (&flat, &flat_tab),
-        );
-        let mut kinds: Vec<&'static str> = [&flat_tab, &adaptive_tab, &ctx_tab, &chaos_tab]
-            .iter()
-            .flat_map(|tab| tab.kinds())
-            .collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        let kind_list = kinds
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        let json = format!(
-            r#"{{"legs":{{"flat":{},"adaptive":{},"context":{},"chaos":{}}},"kinds":[{kind_list}],"differential":{}}}"#,
-            flat_tab.to_json(),
-            adaptive_tab.to_json(),
-            ctx_tab.to_json(),
-            chaos_tab.to_json(),
-            diff.to_json(),
-        );
-        (json, diff, flat_tab, kinds)
-    };
-
-    let (json, diff, flat_tab, kinds) = full_pass(threads);
-    println!("    loss kinds covered: {}", kinds.join(", "));
-    assert!(
-        kinds.len() >= 4,
-        "the drill must cover at least 4 loss kinds, got {kinds:?}"
-    );
-    for required in ["widen", "budget-degrade", "quarantine", "ctx-cap-overflow"] {
-        assert!(kinds.contains(&required), "missing loss kind `{required}`");
-    }
-
+    let legs = BlameLegs::run(rates, threads);
+    println!("    loss kinds covered: {}", legs.kinds().join(", "));
     println!("    flat-policy blame table (top 5):");
-    for (i, e) in flat_tab.top(5).iter().enumerate() {
+    for (i, e) in legs
+        .flat
+        .degradation
+        .blame
+        .entries()
+        .iter()
+        .take(5)
+        .enumerate()
+    {
         println!("      #{} {e}", i + 1);
     }
-    print!("{}", indent(&diff.to_string(), "    "));
-    assert!(
-        !diff.is_empty(),
-        "the flat leg must lose at least one assertion to the adaptive leg"
-    );
-    let first = &diff.regressions[0];
-    assert_eq!(first.proc, "big", "the starved procedure regresses first");
-    let top_cause = first.causes.first().expect("a regression has causes");
-    assert_eq!(
-        top_cause.site, "analyzer/while",
-        "differential attribution must name the starved widening site first, got {top_cause:?}"
-    );
-
-    // --- schedule independence: identical export at 1/2/4 threads -----
-    let identical = [1usize, 2, 4].iter().all(|&t| full_pass(t).0 == json);
-    println!(
-        "    determinism (blame JSON at 1/2/4 threads): {}",
-        if identical { "identical" } else { "MISMATCH" }
-    );
-    assert!(identical, "blame export must be schedule-independent");
-
-    // --- the layer observes, never steers: off == on, bit for bit -----
-    let (flat_on, _) = run_flat(threads);
-    provenance::set_enabled(false);
-    let (flat_off, off_tab) = run_flat(threads);
-    provenance::set_enabled(true);
-    assert!(off_tab.is_empty(), "a disabled layer must record nothing");
-    let transparent = run_fingerprint(&flat_on) == run_fingerprint(&flat_off);
-    println!(
-        "    transparency (provenance on vs off): {}",
-        if transparent {
-            "bit-identical"
-        } else {
-            "MISMATCH"
-        }
-    );
-    assert!(transparent, "the blame layer must not change any result");
-
-    provenance::set_enabled(false);
-    let _ = provenance::drain();
+    print!("{}", indent(&legs.differential().to_string(), "    "));
     if let Some(path) = out {
-        write_blame_out(path, &json);
+        write_blame_out(path, &legs.to_json());
     }
-    println!("  blame drill OK");
 }
 
 /// Prefixes every non-empty line of `s` (for nesting a report's Display).
@@ -761,7 +488,11 @@ fn main() {
             callers
         );
         println!("    ctx stats  : {}", sens.ctx);
-        println!("    cache stats: {}", cache.stats());
+        println!(
+            "    cache stats: {} contexts={}",
+            cache.stats(),
+            cache.context_count()
+        );
         // Determinism of the context-sensitive schedule across thread
         // counts rides along.
         let s1 = product_driver().threads(1).analyze(&cm);
@@ -804,7 +535,7 @@ fn main() {
 
     // --- precision provenance + differential attribution ------------------
     if blame || blame_out.is_some() {
-        blame_drill(threads, chaos_seed, blame_out.as_deref());
+        blame_report(threads, chaos_seed, blame_out.as_deref());
     }
 
     if smoke {
@@ -829,10 +560,9 @@ fn main() {
 
     // --- observability exports (report + trace last, so they see it all) --
     if obs_report {
-        // Register the capped-merge drop counters so a clean run reports
-        // them as explicit zeroes rather than omitting the lines.
+        // Register the event-log drop counter so a clean run reports it
+        // as an explicit zero rather than omitting the line.
         cai_obs::counter!("core/budget/events-dropped");
-        cai_obs::counter!("core/budget/incidents-dropped");
         let mut snap = cai_obs::global().snapshot();
         join_stats.export_into(&mut snap, "core/join");
         println!("\nobs report:");

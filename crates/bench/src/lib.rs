@@ -1,10 +1,16 @@
 //! Workload generators and the paper's example programs, shared by the
-//! benchmarks and the `paper_eval` reproduction binary.
+//! benchmarks, the `paper_eval` / `driver_eval` report binaries and the
+//! workspace's integration tests.
 
 pub mod args;
+pub mod blame;
 
 pub use args::Args;
 
+use cai_core::{Budget, BudgetPolicy};
+use cai_driver::Driver;
+use cai_interp::{parse_module, Module};
+use cai_linarith::Polyhedra;
 use cai_num::SplitMix64;
 use cai_term::parse::Vocab;
 use cai_term::{Atom, Conj, Term, Var};
@@ -51,6 +57,19 @@ pub const FIG8: &str = "
     assert(positive(x));
 ";
 
+/// The canonical widening-loss loop as a one-procedure module: `x`
+/// counts to 100, and widening extrapolates the `x <= 100` bound away
+/// unless a narrowing pass recovers it.
+pub const COUNTER_LOOP_MODULE: &str = "
+    proc main(n) {
+        x := 0;
+        while (x < 100) { x := x + 1; }
+        assert(x >= 100);
+        assert(x <= 100);
+        ret := x;
+    }
+";
+
 /// The Theorem 6 program family: `k` linear counters and `k` UF-updated
 /// variables inside one loop.
 pub fn thm6_family(k: usize) -> String {
@@ -86,6 +105,128 @@ pub fn fig1_family(k: usize) -> String {
         let _ = writeln!(asserts, "assert(s{i} = 2*a{i});");
     }
     format!("{init}while (*) {{\n{body}}}\n{asserts}")
+}
+
+/// A batch of `n` independent procedures, each with a loop and alien
+/// (mixed-theory) terms so the per-procedure fixpoint does real work.
+/// `p0_variant` perturbs only the first procedure's constant, modelling
+/// a single-procedure edit.
+pub fn batch_module(n: usize, p0_variant: usize) -> Module {
+    let mut src = String::new();
+    for i in 0..n {
+        let k = if i == 0 { 7 + p0_variant } else { i % 7 };
+        let _ = writeln!(
+            src,
+            "proc p{i}(a) {{
+                 x := a + {k};
+                 y := F(x);
+                 z := F(y - 1);
+                 while (*) {{
+                     x := x + 1;
+                     y := F(x);
+                     z := z + 2;
+                 }}
+                 assert(y = F(x));
+                 ret := x;
+             }}"
+        );
+    }
+    parse_module(&Vocab::standard(), &src).expect("generated module parses")
+}
+
+/// A module whose callee reassigns its formal, so the context-insensitive
+/// summary of `step` collapses to `true` (the exit constraint ranges over
+/// *stable* formals only) while entry-keyed specialization recovers
+/// `ret = k + 1` at each of the `n` constant-argument call sites.
+pub fn ctx_module(n: usize) -> Module {
+    let mut src = String::from(
+        "proc step(a) {
+             a := a + 1;
+             ret := a;
+         }\n",
+    );
+    for i in 0..n {
+        let _ = writeln!(
+            src,
+            "proc use{i}(b) {{
+                 x := call step({i});
+                 y := call step(x);
+                 assert(y = {});
+                 ret := y + b;
+             }}",
+            i + 2
+        );
+    }
+    parse_module(&Vocab::standard(), &src).expect("generated module parses")
+}
+
+/// The budget-policy workload: one loop-heavy procedure `big` beside
+/// `smalls` trivial ones — the shape where equal fuel shares starve the
+/// big procedure while size-proportional shares feed everyone.
+pub fn mixed_module(smalls: usize) -> Module {
+    let mut src = String::new();
+    for i in 0..smalls {
+        let _ = writeln!(
+            src,
+            "proc small{i}(a) {{ y := a + {i}; assert(y >= a); ret := y; }}"
+        );
+    }
+    src.push_str(
+        "proc big(n) {
+             x := 0;
+             s := 0;
+             while (x < 60) { x := x + 1; s := s + 2; }
+             assert(x >= 60);
+             assert(x <= 60);
+             ret := s;
+         }",
+    );
+    parse_module(&Vocab::standard(), &src).expect("generated module parses")
+}
+
+/// The fuel pool calibrated for a [`mixed_module`] under the polyhedra
+/// driver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PolicyFuel {
+    /// The fuel `big` spends analyzed alone under the adaptive policy
+    /// (spent fuel is tracked even under an unlimited budget).
+    pub cost_big: u64,
+    /// The smallest pool whose size-proportional share for `big` covers
+    /// `cost_big`, padded by one tick per job for the slice-remainder
+    /// floor.
+    pub pool: u64,
+    /// Jobs in the module: one per procedure.
+    pub jobs: u64,
+}
+
+impl PolicyFuel {
+    /// Calibrates the pool from what `m`'s `big` procedure actually
+    /// costs.
+    pub fn calibrate(m: &Module) -> PolicyFuel {
+        let policy = BudgetPolicy::adaptive();
+        let big = m.get("big").expect("a mixed module has a `big` procedure");
+        let alone =
+            parse_module(&Vocab::standard(), &big.to_string()).expect("a printed procedure parses");
+        let cost_big = Driver::new(|_: &Budget| Polyhedra::new())
+            .budget_policy(policy)
+            .analyze(&alone)
+            .degradation
+            .fuel_spent;
+        let weight = |p: &cai_interp::Procedure| policy.job_weight(&p.measures(), 0);
+        let total: u64 = m.procs.iter().map(weight).sum();
+        let jobs = m.procs.len() as u64;
+        PolicyFuel {
+            cost_big,
+            pool: (cost_big * total).div_ceil(weight(big)) + jobs,
+            jobs,
+        }
+    }
+
+    /// Whether an equal (flat) share of the pool is less than what `big`
+    /// needs — the premise of the flat-vs-adaptive comparison.
+    pub fn flat_starves_big(&self) -> bool {
+        self.pool / self.jobs < self.cost_big
+    }
 }
 
 /// Minimal timing harness for the `harness = false` benchmarks (the

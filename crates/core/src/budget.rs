@@ -7,14 +7,20 @@
 //! congruence closure. A [`Budget`] bounds the total work those loops may
 //! perform. When the bound is hit, every governed operation **degrades
 //! soundly** instead of diverging: it returns an over-approximation of its
-//! exact result (often ⊤, or it skips the refinement step) and records a
-//! [`Degradation`] event, so callers can distinguish "proved" from "gave
-//! up".
+//! exact result (often ⊤, or it skips the refinement step) and records an
+//! [`Event`], so callers can distinguish "proved" from "gave up".
 //!
 //! A `Budget` is a shared handle: cloning it shares the same fuel counter
 //! and deadline, which is how one budget governs a whole analysis — clone
 //! it into each component domain, the product, and the analyzer, and
 //! exhaustion anywhere stops work everywhere.
+//!
+//! A budget is also where a run's events live. [`Budget::record`] is the
+//! one emission point for every precision loss and absorbed fault: it
+//! keeps the event (at most 64 of each kind), folds
+//! it into the run's uncapped [`BlameTable`], flags the budget degraded
+//! when the kind [degrades](LossKind::degrades), and emits one tracer
+//! instant. [`Budget::report`] hands all of it back.
 //!
 //! ```
 //! use cai_core::Budget;
@@ -25,37 +31,24 @@
 //! assert!(b.is_exhausted());
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cai_obs::{clock, provenance};
+use cai_obs::{clock, BlameTable, Event, LossKind};
 
 /// How often (in ticks) the wall-clock deadline is re-checked; reading the
 /// clock on every tick would dominate the hot loops. (The clock is read via
 /// [`cai_obs::clock::now`], the stack's single audited wall-clock door.)
 const DEADLINE_CHECK_PERIOD: u64 = 256;
 
-/// The domain path the blame layer attributes a degradation site to,
-/// derived from the site-string prefix convention (`"logical-product/…"`,
-/// `"analyzer/…"`, `"driver/…"`).
-fn domain_for_site(site: &str) -> &'static str {
-    match site.split('/').next() {
-        Some("logical-product") => "logical",
-        Some("analyzer") => "interp",
-        Some("driver") => "driver",
-        _ => "core",
-    }
-}
-
-/// Cap on stored [`Degradation`] events; further events only bump a
-/// counter so an exhausted analysis cannot itself exhaust memory.
-const MAX_EVENTS: usize = 64;
-
-/// Cap on stored [`Incident`]s, for the same reason: a chaos run that
-/// panics thousands of times must not turn the report into the leak.
-const MAX_INCIDENTS: usize = 64;
+/// Cap on stored events *of each kind*; further events of that kind only
+/// bump a counter (they still reach the blame table), so an exhausted or
+/// crash-looping analysis cannot itself exhaust memory, and a frequent
+/// kind such as `widen` cannot push out a rare one such as `quarantine`.
+const MAX_EVENTS_PER_KIND: usize = 64;
 
 /// A typed failure of the analysis engine.
 ///
@@ -94,154 +87,66 @@ impl fmt::Display for CaiError {
 
 impl std::error::Error for CaiError {}
 
-/// One recorded precision-loss event: a governed operation hit the budget
-/// and substituted a sound over-approximation for its exact result.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Degradation {
-    /// The operation that degraded (e.g. `"logical-product/join"`).
-    pub site: &'static str,
-    /// What the operation fell back to.
-    pub detail: String,
-}
-
-impl fmt::Display for Degradation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.site, self.detail)
-    }
-}
-
-/// What kind of failure an [`Incident`] records. Unlike a
-/// [`Degradation`] — a *planned* precision loss inside a governed loop —
-/// an incident is an engine-level fault the supervision layer absorbed:
-/// the math never produces these, the messy world does.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum IncidentKind {
-    /// A per-procedure analysis panicked and was caught at the
-    /// supervision boundary.
-    Panic,
-    /// The straggler watchdog fired: a procedure overran its deadline and
-    /// its budget slice was exhausted to turn the hang into the graceful
-    /// degradation path.
-    Stall,
-    /// A cached artifact failed its checksum and was rejected (then
-    /// recomputed from scratch).
-    CacheCorruption,
-    /// A procedure exhausted its retry allowance and was pinned to the
-    /// sound ⊤ summary for the rest of the batch.
-    Quarantine,
-}
-
-impl fmt::Display for IncidentKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IncidentKind::Panic => "panic",
-            IncidentKind::Stall => "stall",
-            IncidentKind::CacheCorruption => "cache-corruption",
-            IncidentKind::Quarantine => "quarantine",
-        })
-    }
-}
-
-/// One structured record of a fault the supervision layer survived. The
-/// contract mirrors [`Degradation`]: an incident never implies wrong
-/// results, only that exactness was traded for survival somewhere.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Incident {
-    /// What happened.
-    pub kind: IncidentKind,
-    /// Where — a procedure or cache-entry name, not a code location.
-    pub subject: String,
-    /// Free-form diagnostics (panic message, deadline, checksum pair).
-    pub detail: String,
-    /// Which supervised attempt observed it (0 = first try).
-    pub attempt: u32,
-}
-
-impl fmt::Display for Incident {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} in `{}` (attempt {}): {}",
-            self.kind, self.subject, self.attempt, self.detail
-        )
-    }
-}
-
 /// A summary of everything a budget observed: whether any governed
-/// operation gave up, and where.
+/// operation gave up, the fuel spent, and every recorded [`Event`].
 #[derive(Clone, Debug, Default)]
 pub struct DegradationReport {
-    /// `true` if any operation substituted an over-approximation.
+    /// `true` if any recorded event [degrades](LossKind::degrades).
     pub degraded: bool,
     /// `true` if the fuel counter or deadline ran out.
     pub exhausted: bool,
     /// Fuel ticks consumed so far.
     pub fuel_spent: u64,
-    /// The recorded events, oldest first (at most [`MAX_EVENTS`] kept).
-    pub events: Vec<Degradation>,
-    /// Events beyond the storage cap (recorded only as a count).
-    pub dropped_events: usize,
-    /// Supervision incidents — caught panics, watchdog stalls, cache
-    /// corruption, quarantines — oldest first (at most [`MAX_INCIDENTS`]
+    /// The recorded events, oldest first (at most 64 of each kind
     /// kept).
-    pub incidents: Vec<Incident>,
-    /// Incidents beyond the storage cap (recorded only as a count).
-    pub dropped_incidents: usize,
+    pub events: Vec<Event>,
+    /// Events beyond the per-kind storage cap (recorded only as a count,
+    /// and in [`blame`](DegradationReport::blame)).
+    pub dropped_events: usize,
+    /// Every event, dropped ones included, folded per
+    /// `(scope, site, kind)`.
+    pub blame: BlameTable,
 }
 
 impl DegradationReport {
-    /// Folds another report into this one (used when merging the
-    /// per-job budget slices of a parallel analysis): flags are OR-ed,
-    /// fuel adds up, and events/incidents concatenate up to their storage
-    /// caps. Entries that do not fit — whether they overflow *this*
-    /// report's cap or were already dropped by `other` — are preserved as
-    /// counts, so merging N slices neither grows the logs unboundedly nor
-    /// loses how much was cut.
+    /// Stores `ev` unless its kind is at the storage cap, in which case
+    /// it is counted as dropped (here and on the global
+    /// `core/budget/events-dropped` counter).
+    fn store(&mut self, ev: Event) {
+        if self.events_of(ev.kind).count() < MAX_EVENTS_PER_KIND {
+            self.events.push(ev);
+        } else {
+            self.dropped_events += 1;
+            cai_obs::counter!("core/budget/events-dropped").incr();
+        }
+    }
+
+    /// Folds another report into this one (used when merging the per-job
+    /// budget slices of a parallel analysis): flags are OR-ed, fuel and
+    /// blame tables add up, and stored events concatenate up to the
+    /// per-kind cap. Events that do not fit — whether they overflow
+    /// *this* report's cap or were already dropped by `other` — are kept
+    /// as counts, so merging N slices neither grows the log unboundedly
+    /// nor loses how much was cut.
     pub fn merge(&mut self, other: &DegradationReport) {
         self.degraded |= other.degraded;
         self.exhausted |= other.exhausted;
         self.fuel_spent = self.fuel_spent.saturating_add(other.fuel_spent);
         for ev in &other.events {
-            if self.events.len() < MAX_EVENTS {
-                self.events.push(ev.clone());
-            } else {
-                self.dropped_events += 1;
-                cai_obs::counter!("core/budget/events-dropped").incr();
-            }
+            self.store(ev.clone());
         }
         self.dropped_events += other.dropped_events;
-        for inc in &other.incidents {
-            if self.incidents.len() < MAX_INCIDENTS {
-                self.incidents.push(inc.clone());
-            } else {
-                // The overflow incident is dropped from storage here; the
-                // global counter keeps the loss visible in `--obs-report`
-                // (`other`'s own pre-merge drops were already counted at
-                // their original drop points, so only the new ones count).
-                self.dropped_incidents += 1;
-                cai_obs::counter!("core/budget/incidents-dropped").incr();
-            }
-        }
-        self.dropped_incidents += other.dropped_incidents;
+        self.blame.merge(&other.blame);
     }
 
-    /// Incidents of one kind, for counters and assertions.
-    pub fn incidents_of(&self, kind: IncidentKind) -> impl Iterator<Item = &Incident> {
-        self.incidents.iter().filter(move |i| i.kind == kind)
+    /// The stored events of one kind, oldest first.
+    pub fn events_of(&self, kind: LossKind) -> impl Iterator<Item = &Event> {
+        self.events.iter().filter(move |e| e.kind == kind)
     }
 }
 
-#[derive(Debug, Default)]
-struct Log {
-    events: Vec<Degradation>,
-    dropped: usize,
-    incidents: Vec<Incident>,
-    dropped_incidents: usize,
-}
-
-/// The *observation* side of a budget — degradation flags and the event/
-/// incident log. Split out so a [`child`](Budget::child) budget can keep
+/// The *observation* side of a budget — the degradation flag and the
+/// event log. Split out so a [`child`](Budget::child) budget can keep
 /// its own fuel/deadline restriction while recording everything it
 /// observes straight onto its parent's log: the supervisor hands each
 /// retry attempt a fresh restriction, and every attempt's events still
@@ -249,12 +154,14 @@ struct Log {
 #[derive(Debug, Default)]
 struct Obs {
     degraded: AtomicBool,
-    /// Monotonic count of every `degrade` call (including events past the
+    /// Monotonic count of degrading events (including events past the
     /// storage cap). Lets callers detect whether a computation degraded by
     /// comparing snapshots before and after — the memo layer uses this to
     /// refuse to cache results produced by a starved run.
     degrade_events: AtomicU64,
-    log: Mutex<Log>,
+    /// The stored events and the blame table (its flags and fuel stay
+    /// unset; [`Budget::report`] fills them in).
+    log: Mutex<DegradationReport>,
 }
 
 #[derive(Debug)]
@@ -269,12 +176,13 @@ struct BudgetInner {
     exhausted: AtomicBool,
     /// The budget this one is nested inside, if any. Work ticked here is
     /// charged to the parent too ([`child`](Budget::child)) or not
-    /// ([`split`](Budget::split) slices, which own an independent fuel
-    /// share), but in both cases parent exhaustion propagates down:
+    /// ([`split_weighted`](Budget::split_weighted) slices, which own an
+    /// independent fuel share), but in both cases parent exhaustion
+    /// propagates down:
     /// cancelling the root budget cancels every slice and sub-task.
     parent: Option<Arc<BudgetInner>>,
     /// Whether ticks are forwarded to `parent` (true for `child`, false
-    /// for `split` slices).
+    /// for `split_weighted` slices).
     charge_parent: bool,
     /// Cost accumulated since the wall-clock deadline was last checked.
     /// Starts at [`DEADLINE_CHECK_PERIOD`] so the first tick always
@@ -453,77 +361,32 @@ impl Budget {
     }
 
     /// Records that a governed operation substituted a sound
-    /// over-approximation for its exact result.
-    pub fn degrade(&self, site: &'static str, detail: impl Into<String>) {
-        let obs = &*self.inner.obs;
-        obs.degraded.store(true, Ordering::Relaxed);
-        obs.degrade_events.fetch_add(1, Ordering::Relaxed);
-        let mut log = obs.log.lock().unwrap_or_else(|e| e.into_inner());
-        if log.events.len() < MAX_EVENTS {
-            log.events.push(Degradation {
-                site,
-                detail: detail.into(),
-            });
-        } else {
-            log.dropped += 1;
-            cai_obs::counter!("core/budget/events-dropped").incr();
-        }
-        drop(log);
-        // Every degradation is a precision loss: feed the blame layer
-        // (no-op, one relaxed load, when it is off). The logical round
-        // comes from the emitter's last `provenance::set_round`.
-        provenance::record_at_current_round(
-            provenance::LossKind::BudgetDegrade,
-            site,
-            domain_for_site(site),
-            self.spent(),
-        );
+    /// over-approximation for its exact result: shorthand for a
+    /// [`LossKind::BudgetDegrade`] [`record`](Budget::record).
+    pub fn degrade(&self, site: &'static str, detail: impl Into<Cow<'static, str>>) {
+        self.record(Event::new(LossKind::BudgetDegrade, site, detail));
     }
 
-    /// Records a supervision [`Incident`] — a caught panic, a watchdog
-    /// stall, rejected cache corruption, or a quarantine. Like
-    /// [`degrade`](Budget::degrade) this lands in the shared observation
-    /// log ([`child`](Budget::child) budgets report onto their parent)
-    /// and is capped in storage, never in count.
-    pub fn incident(&self, incident: Incident) {
-        // Deliberately does NOT set the `degraded` flag: a caught panic
-        // whose retry succeeded produced the *exact* result. Supervision
-        // paths that do lose precision (quarantine, stall) additionally
-        // call [`degrade`](Budget::degrade).
-        //
-        // Every incident kind maps to one tagged tracer instant here —
-        // the single place the mapping lives — using the same kind
-        // strings the blame layer's JSON uses (`panic`, `stall`,
-        // `cache-corruption`, `quarantine`), so Chrome traces and blame
-        // reports cross-reference by name.
-        cai_obs::instant!(
-            "incident/{} {} attempt={}",
-            incident.kind,
-            incident.subject,
-            incident.attempt
-        );
-        if incident.kind == IncidentKind::Quarantine {
-            // A quarantine pins the procedure to the sound ⊤ summary:
-            // attribute the loss to the procedure itself (the incident
-            // is raised from the driver thread, outside the procedure's
-            // provenance scope).
-            provenance::record_scoped(
-                &incident.subject,
-                provenance::LossKind::Quarantine,
-                "driver/supervisor",
-                "driver",
-                0,
-                self.spent(),
-            );
-        }
+    /// Records one event — the single emission point for every precision
+    /// loss and absorbed fault. The event is stamped with the fuel spent
+    /// so far, stored in the shared observation log (capped per kind;
+    /// [`child`](Budget::child) and
+    /// [`recovery_slice`](Budget::recovery_slice) budgets record onto
+    /// their parent's), folded into the log's blame table, and emitted as
+    /// one `event/<kind>` tracer instant. A kind that
+    /// [degrades](LossKind::degrades) also flags the budget degraded and
+    /// advances [`degrade_count`](Budget::degrade_count).
+    pub fn record(&self, mut ev: Event) {
+        ev.fuel = self.spent();
+        cai_obs::instant!("event/{} {} {}", ev.kind, ev.scope, ev.site);
         let obs = &*self.inner.obs;
-        let mut log = obs.log.lock().unwrap_or_else(|e| e.into_inner());
-        if log.incidents.len() < MAX_INCIDENTS {
-            log.incidents.push(incident);
-        } else {
-            log.dropped_incidents += 1;
-            cai_obs::counter!("core/budget/incidents-dropped").incr();
+        if ev.kind.degrades() {
+            obs.degraded.store(true, Ordering::Relaxed);
+            obs.degrade_events.fetch_add(1, Ordering::Relaxed);
         }
+        let mut log = obs.log.lock().unwrap_or_else(|e| e.into_inner());
+        log.blame.add(&ev);
+        log.store(ev);
     }
 
     /// `true` if any governed operation has degraded under this budget.
@@ -531,8 +394,8 @@ impl Budget {
         self.inner.obs.degraded.load(Ordering::Relaxed)
     }
 
-    /// Monotonic count of [`degrade`](Budget::degrade) calls so far
-    /// (including events beyond the storage cap). Compare snapshots taken
+    /// Monotonic count of degrading events recorded so far (including
+    /// events beyond the storage cap). Compare snapshots taken
     /// around a computation to learn whether *that* computation degraded.
     pub fn degrade_count(&self) -> u64 {
         self.inner.obs.degrade_events.load(Ordering::Relaxed)
@@ -547,70 +410,30 @@ impl Budget {
             .map(|l| l.load(Ordering::Relaxed))
     }
 
-    /// Splits the budget into `ways` *independent* slices for
-    /// shared-nothing parallel workers: each slice gets an equal share of
-    /// the fuel remaining right now (the remainder is spread round-robin,
-    /// one extra tick to each of the first `r mod ways` slices, so shares
-    /// differ by at most 1), its own spent counter and degradation log,
-    /// and the *same absolute* wall-clock deadline, so no worker outlives
-    /// the parent's deadline. An unlimited parent yields unlimited
-    /// slices; an already-exhausted parent yields already-exhausted
-    /// slices, and exhausting the parent *later* (cooperative
-    /// cancellation) stops every slice at its next check. The parent
-    /// keeps its own counters untouched — merge the slices'
+    /// Splits the budget into *independent* slices for shared-nothing
+    /// parallel workers, one per entry of `weights`: each slice gets a
+    /// share of the fuel remaining right now in proportion to its weight
+    /// (a weight of 0 is treated as 1 so every slice stays viable), its
+    /// own spent counter and event log, and the *same absolute*
+    /// wall-clock deadline, so no worker outlives the parent's deadline.
+    /// The rounding leftover — always fewer ticks than there are slices —
+    /// goes one tick apiece to the slices with the largest discarded
+    /// fractional share, ties broken by index, so the allocation is a
+    /// pure deterministic function of the remaining fuel and the weights;
+    /// equal weights give equal shares that differ by at most one tick,
+    /// the extra ticks going to the first slices. An unlimited parent
+    /// yields unlimited slices; an already-exhausted parent yields
+    /// already-exhausted slices, and exhausting the parent *later*
+    /// (cooperative cancellation) stops every slice at its next check.
+    /// The parent keeps its own counters untouched — merge the slices'
     /// [`report`](Budget::report)s back with [`DegradationReport::merge`].
     ///
-    /// Fuel invariant: when the remaining fuel `r` covers every slice
-    /// (`r ≥ ways`), the slices' shares sum to exactly `r`. When it does
-    /// not (`0 < r < ways`), every slice is still floored at 1 fuel — a
-    /// deliberate overshoot totalling `ways` — so no slice is born
-    /// exhausted and degrades before doing any work; the parent's own
-    /// pool is untouched either way. `r = 0` yields slices with no fuel
+    /// Fuel invariant: when the remaining fuel `r` covers every slice,
+    /// the shares sum to exactly `r`. When it does not (`0 < r` smaller
+    /// than the number of slices), every slice is still floored at 1
+    /// fuel — a deliberate overshoot — so no slice is born exhausted and
+    /// degrades before doing any work. `r = 0` yields slices with no fuel
     /// at all.
-    pub fn split(&self, ways: usize) -> Vec<Budget> {
-        let remaining = self
-            .inner
-            .fuel_left
-            .as_ref()
-            .map(|l| l.load(Ordering::Relaxed));
-        let exhausted = self.is_exhausted();
-        (0..ways)
-            .map(|i| {
-                let share = remaining.map(|r| {
-                    let ways = ways as u64;
-                    let each = r / ways + u64::from((i as u64) < r % ways);
-                    // The minimum-viable-slice floor: a positive pool
-                    // never produces a zero-fuel (born-degraded) slice.
-                    if r > 0 {
-                        each.max(1)
-                    } else {
-                        each
-                    }
-                });
-                Budget::assemble(
-                    share,
-                    self.inner.deadline,
-                    exhausted,
-                    Some(self.inner.clone()),
-                    false,
-                    Arc::default(),
-                )
-            })
-            .collect()
-    }
-
-    /// The weighted analogue of [`split`](Budget::split): one independent
-    /// slice per entry of `weights`, each allotted remaining fuel in
-    /// proportion to its weight (a weight of 0 is treated as 1 so every
-    /// slice stays viable). The rounding leftover — always fewer ticks
-    /// than there are slices — goes one tick apiece to the slices with
-    /// the largest discarded fractional share, ties broken by index, so
-    /// the allocation is a pure deterministic function of the remaining
-    /// fuel and the weight vector. All the [`split`](Budget::split)
-    /// invariants hold: shares sum to the remaining fuel `r` whenever the
-    /// ≥1-fuel floor does not force an overshoot, an all-equal weight
-    /// vector reproduces `split(weights.len())` exactly, and slices share
-    /// the parent's absolute deadline and exhaustion lineage.
     pub fn split_weighted(&self, weights: &[u64]) -> Vec<Budget> {
         let remaining = self
             .inner
@@ -686,8 +509,8 @@ impl Budget {
     /// is charged to this budget too; exhausting the child — including
     /// by a watchdog calling [`exhaust`](Budget::exhaust) on it — leaves
     /// this budget usable for the next attempt, while exhausting *this*
-    /// budget stops the child at its next check. Degradations and
-    /// incidents recorded on the child land in this budget's log, so one
+    /// budget stops the child at its next check. Events recorded on the
+    /// child land in this budget's log, so one
     /// [`report`](Budget::report) covers every attempt.
     pub fn child(&self, fuel: Option<u64>, deadline: Option<Duration>) -> Budget {
         let child_deadline = deadline.map(|d| clock::now() + d);
@@ -712,10 +535,7 @@ impl Budget {
             degraded: self.degraded(),
             exhausted: self.inner.exhausted.load(Ordering::Relaxed),
             fuel_spent: self.spent(),
-            events: log.events.clone(),
-            dropped_events: log.dropped,
-            incidents: log.incidents.clone(),
-            dropped_incidents: log.dropped_incidents,
+            ..log.clone()
         }
     }
 }
@@ -767,23 +587,32 @@ mod tests {
     }
 
     #[test]
-    fn degradation_log_caps() {
+    fn event_log_caps_each_kind_separately() {
         let b = Budget::unlimited();
         assert!(!b.degraded());
-        for i in 0..(MAX_EVENTS + 10) {
+        for i in 0..(MAX_EVENTS_PER_KIND + 10) {
             b.degrade("test", format!("event {i}"));
+            b.record(Event::new(LossKind::Widen, "test/widen", "widened"));
         }
+        b.record(Event::new(LossKind::Quarantine, "test/supervisor", "pinned").scoped("p"));
         let r = b.report();
         assert!(r.degraded);
-        assert_eq!(r.events.len(), MAX_EVENTS);
-        assert_eq!(r.dropped_events, 10);
+        let kept = |k| r.events_of(k).count();
+        assert_eq!(kept(LossKind::BudgetDegrade), MAX_EVENTS_PER_KIND);
+        assert_eq!(kept(LossKind::Widen), MAX_EVENTS_PER_KIND);
+        // A frequent kind never pushes out a rare one.
+        assert_eq!(kept(LossKind::Quarantine), 1);
+        assert_eq!(r.dropped_events, 20);
+        // The blame table folds every event, dropped ones included.
+        let widens = r.blame.count("(top)", "test/widen", LossKind::Widen);
+        assert_eq!(widens, MAX_EVENTS_PER_KIND as u64 + 10);
     }
 
     #[test]
-    fn split_divides_remaining_fuel_independently() {
+    fn split_weighted_divides_remaining_fuel_independently() {
         let parent = Budget::fuel(10);
         assert!(parent.tick(3)); // 7 remaining
-        let kids = parent.split(3);
+        let kids = parent.split_weighted(&[1; 3]);
         assert_eq!(kids.len(), 3);
         // Shares: 3 (2 + one remainder tick), 2, 2 — and independent.
         assert!(kids[0].tick(3) && !kids[0].tick(1));
@@ -793,43 +622,43 @@ mod tests {
     }
 
     #[test]
-    fn split_floors_every_slice_at_one_fuel() {
+    fn split_weighted_floors_every_slice_at_one_fuel() {
         // Remaining fuel (2) is positive but smaller than the number of
         // slices (4): every slice must still get at least 1 fuel so no
         // worker is born degraded. The total deliberately overshoots.
         let parent = Budget::fuel(2);
-        let kids = parent.split(4);
+        let kids = parent.split_weighted(&[1; 4]);
         for k in &kids {
             assert!(!k.is_exhausted(), "no slice is born exhausted");
             assert!(k.tick(1), "every slice can do at least one unit of work");
         }
         // The documented invariant: sum = remaining when remaining >= ways…
-        let wide = Budget::fuel(10).split(3);
+        let wide = Budget::fuel(10).split_weighted(&[1; 3]);
         let total: u64 = wide.iter().map(|k| k.remaining_fuel().unwrap()).sum();
         assert_eq!(total, 10);
         // …and sum = ways (each slice exactly 1) when 0 < remaining < ways.
-        let narrow = Budget::fuel(2).split(4);
+        let narrow = Budget::fuel(2).split_weighted(&[1; 4]);
         let total: u64 = narrow.iter().map(|k| k.remaining_fuel().unwrap()).sum();
         assert_eq!(total, 4, "remainder spreads, then every slice floors at 1");
         // A drained pool still yields fuel-less slices.
-        let dry = Budget::fuel(0).split(3);
+        let dry = Budget::fuel(0).split_weighted(&[1; 3]);
         assert!(dry.iter().all(|k| k.remaining_fuel() == Some(0)));
     }
 
     #[test]
-    fn split_spreads_the_remainder_round_robin() {
-        // 10 fuel over 4 slices: 3, 3, 2, 2 — never 4, 2, 2, 2. Shares
-        // differ by at most one tick, so no worker is systematically
-        // favoured by its slice index.
+    fn equal_weights_spread_the_remainder_round_robin() {
+        // 10 fuel over 4 equal slices: 3, 3, 2, 2 — never 4, 2, 2, 2.
+        // Shares differ by at most one tick, so no worker is
+        // systematically favoured by its slice index.
         let shares: Vec<u64> = Budget::fuel(10)
-            .split(4)
+            .split_weighted(&[1; 4])
             .iter()
             .map(|k| k.remaining_fuel().unwrap())
             .collect();
         assert_eq!(shares, vec![3, 3, 2, 2]);
         for ways in 1..=9 {
             let shares: Vec<u64> = Budget::fuel(23)
-                .split(ways)
+                .split_weighted(&vec![1; ways])
                 .iter()
                 .map(|k| k.remaining_fuel().unwrap())
                 .collect();
@@ -855,15 +684,15 @@ mod tests {
             .map(|k| k.remaining_fuel().unwrap())
             .collect();
         assert_eq!(shares.iter().sum::<u64>(), 10);
-        // Equal weights reproduce split() exactly (the flat-policy
-        // bit-identity contract).
-        for (w, s) in Budget::fuel(23)
+        // Equal weights give the flat shares: the remainder goes one
+        // tick apiece to the first slices (the flat-policy bit-identity
+        // contract).
+        let shares: Vec<u64> = Budget::fuel(23)
             .split_weighted(&[1; 5])
             .iter()
-            .zip(Budget::fuel(23).split(5))
-        {
-            assert_eq!(w.remaining_fuel(), s.remaining_fuel());
-        }
+            .map(|k| k.remaining_fuel().unwrap())
+            .collect();
+        assert_eq!(shares, vec![5, 5, 5, 4, 4]);
         // Zero weights stay viable, and a positive pool floors at 1.
         let shares: Vec<u64> = Budget::fuel(8)
             .split_weighted(&[0, 1000])
@@ -932,13 +761,12 @@ mod tests {
         assert!(!rec.is_exhausted());
         assert!(rec.tick(3));
         assert!(!rec.tick(1), "…which still exhausts on its own");
-        // …and its degradations land in the parent's report.
+        // …and its events land in the parent's report.
         rec.degrade("test/narrow", "ran dry");
-        assert!(parent
-            .report()
-            .events
-            .iter()
-            .any(|e| e.site == "test/narrow"));
+        assert_eq!(
+            parent.report().events_of(LossKind::BudgetDegrade).count(),
+            1
+        );
         // A deadline-exhausted budget yields a deadline-exhausted slice:
         // the anytime contract survives recovery.
         let timed = Budget::deadline(Duration::ZERO);
@@ -948,7 +776,7 @@ mod tests {
     #[test]
     fn exhausting_the_parent_cancels_its_slices() {
         let parent = Budget::unlimited();
-        let kids = parent.split(2);
+        let kids = parent.split_weighted(&[1, 1]);
         assert!(kids[0].tick(1));
         parent.exhaust();
         assert!(
@@ -989,91 +817,86 @@ mod tests {
         let parent = Budget::unlimited();
         let child = parent.child(None, None);
         child.degrade("test/child", "gave up");
-        child.incident(Incident {
-            kind: IncidentKind::Panic,
-            subject: "p0".into(),
-            detail: "injected".into(),
-            attempt: 1,
-        });
+        child.record(Event::new(LossKind::Panic, "test/supervisor", "injected").scoped("p0"));
         let r = parent.report();
         assert!(r.degraded);
-        assert_eq!(r.events.len(), 1);
-        assert_eq!(r.incidents.len(), 1);
-        assert_eq!(r.incidents[0].kind, IncidentKind::Panic);
+        assert_eq!(r.events.len(), 2);
+        assert_eq!(r.events_of(LossKind::Panic).count(), 1);
+        assert_eq!(r.blame.count("p0", "test/supervisor", LossKind::Panic), 1);
         assert_eq!(parent.degrade_count(), child.degrade_count());
     }
 
     #[test]
-    fn incidents_do_not_flag_degradation_by_themselves() {
-        // A caught-and-recovered panic produced the exact result; only
-        // the explicit degrade() paths may claim precision loss.
+    fn only_degrading_kinds_flag_the_budget() {
+        // A caught panic whose retry succeeded produced the exact result,
+        // and a widening or a skipped store substitutes nothing either:
+        // only the degrading kinds may claim precision loss.
         let b = Budget::unlimited();
-        b.incident(Incident {
-            kind: IncidentKind::Panic,
-            subject: "p".into(),
-            detail: "recovered on retry".into(),
-            attempt: 0,
-        });
+        assert!(b.tick(5));
+        for kind in LossKind::ALL.into_iter().filter(|k| !k.degrades()) {
+            b.record(Event::new(kind, "test/site", "observed"));
+        }
         assert!(!b.degraded());
-        assert!(b.report().incidents.len() == 1);
+        assert_eq!(b.degrade_count(), 0);
+        b.record(Event::new(LossKind::Stall, "test/watchdog", "overran").scoped("p"));
+        assert!(b.degraded());
+        assert_eq!(b.degrade_count(), 1);
+        let r = b.report();
+        assert_eq!(r.events.len(), 6);
+        assert!(
+            r.events.iter().all(|e| e.fuel == 5),
+            "stamped with the spent fuel"
+        );
     }
 
     #[test]
-    fn merge_caps_incidents_and_keeps_drop_counts() {
-        let mk = |n: usize, dropped: usize| DegradationReport {
-            incidents: (0..n)
-                .map(|i| Incident {
-                    kind: IncidentKind::Stall,
-                    subject: format!("p{i}"),
-                    detail: "slow".into(),
-                    attempt: 0,
-                })
-                .collect(),
-            dropped_incidents: dropped,
-            ..DegradationReport::default()
+    fn merge_caps_each_kind_and_keeps_drop_counts() {
+        let mk = |n: usize, dropped: usize| {
+            let b = Budget::unlimited();
+            for i in 0..n {
+                b.record(
+                    Event::new(LossKind::Stall, "test/watchdog", "slow").scoped(&format!("p{i}")),
+                );
+            }
+            let mut r = b.report();
+            r.dropped_events += dropped;
+            r
         };
         let before = cai_obs::global()
             .snapshot()
-            .counter("core/budget/incidents-dropped");
+            .counter("core/budget/events-dropped");
         let mut merged = DegradationReport::default();
         for _ in 0..3 {
             merged.merge(&mk(40, 2));
         }
-        assert_eq!(merged.incidents.len(), MAX_INCIDENTS);
+        assert_eq!(merged.events.len(), MAX_EVENTS_PER_KIND);
         // 120 offered, 64 stored, 56 overflowed here, plus 3×2 already
-        // dropped upstream: no incident is ever silently lost.
-        assert_eq!(merged.dropped_incidents, 120 - MAX_INCIDENTS + 6);
+        // dropped upstream: no event is ever silently lost.
+        assert_eq!(merged.dropped_events, 120 - MAX_EVENTS_PER_KIND + 6);
         // The newly overflowed 56 also land on the global observability
         // counter (`>=`: other tests in this binary may bump it too).
         let after = cai_obs::global()
             .snapshot()
-            .counter("core/budget/incidents-dropped");
+            .counter("core/budget/events-dropped");
         assert!(
-            after >= before + (120 - MAX_INCIDENTS as u64),
+            after >= before + (120 - MAX_EVENTS_PER_KIND as u64),
             "global drop counter must surface merge overflow: {before} -> {after}"
         );
+        // The blame tables add up, uncapped: every scope saw 3 stalls.
         assert_eq!(
-            merged.incidents_of(IncidentKind::Stall).count(),
-            MAX_INCIDENTS
+            merged.blame.count("p39", "test/watchdog", LossKind::Stall),
+            3
         );
-        assert_eq!(merged.incidents_of(IncidentKind::Panic).count(), 0);
+        assert_eq!(
+            merged.events_of(LossKind::Stall).count(),
+            MAX_EVENTS_PER_KIND
+        );
+        assert_eq!(merged.events_of(LossKind::Panic).count(), 0);
     }
 
     #[test]
-    fn incident_displays() {
-        let i = Incident {
-            kind: IncidentKind::Quarantine,
-            subject: "loop_forever".into(),
-            detail: "2 retries exhausted".into(),
-            attempt: 2,
-        };
-        let s = i.to_string();
-        assert!(s.contains("quarantine") && s.contains("loop_forever") && s.contains("attempt 2"));
-    }
-
-    #[test]
-    fn split_of_unlimited_is_unlimited() {
-        let kids = Budget::unlimited().split(2);
+    fn split_weighted_of_unlimited_is_unlimited() {
+        let kids = Budget::unlimited().split_weighted(&[1, 1]);
         for k in &kids {
             assert!(k.tick(1_000_000));
             assert!(!k.is_exhausted());
@@ -1081,19 +904,19 @@ mod tests {
     }
 
     #[test]
-    fn split_of_exhausted_is_exhausted() {
+    fn split_weighted_of_exhausted_is_exhausted() {
         let parent = Budget::fuel(1);
         parent.exhaust();
-        for k in parent.split(4) {
+        for k in parent.split_weighted(&[1; 4]) {
             assert!(k.is_exhausted());
             assert!(!k.tick(1));
         }
     }
 
     #[test]
-    fn split_shares_absolute_deadline() {
+    fn split_weighted_shares_absolute_deadline() {
         let parent = Budget::deadline(Duration::ZERO);
-        for k in parent.split(2) {
+        for k in parent.split_weighted(&[1, 1]) {
             assert!(k.is_exhausted());
         }
     }
@@ -1112,6 +935,12 @@ mod tests {
         assert_eq!(merged.fuel_spent, 3);
         assert_eq!(merged.events.len(), 1);
         assert_eq!(merged.dropped_events, 0);
+        assert_eq!(
+            merged
+                .blame
+                .count("(top)", "test/b", LossKind::BudgetDegrade),
+            1
+        );
     }
 
     #[test]

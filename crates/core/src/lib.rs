@@ -38,11 +38,12 @@ pub mod reduce;
 mod reduced;
 mod saturate;
 
-pub use budget::{Budget, CaiError, Degradation, DegradationReport, Incident, IncidentKind};
+pub use budget::{Budget, CaiError, DegradationReport};
 pub use cache::{
     Cache, CacheConfig, CacheStats, Eviction, StoreOutcome, TermMemo,
     DEFAULT_SUMMARY_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY,
 };
+pub use cai_obs::{BlameTable, Event, LossKind};
 pub use chaos::{ChaosConfig, ChaosDomain};
 pub use direct::{DirectProduct, Pair};
 pub use domain::{combination_precision, AbstractDomain, Precision, TheoryProps};

@@ -45,7 +45,7 @@ use crate::cache::{cs, Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo};
 use crate::domain::{combination_precision, AbstractDomain, Precision, TheoryProps};
 use crate::partition::Partition;
 use crate::saturate::{no_saturate_budgeted, Saturated};
-use cai_obs::{provenance, CounterFamily};
+use cai_obs::{CounterFamily, Event, LossKind};
 use cai_term::{
     fingerprint, purify, purify_memoized, Atom, AtomSide, Conj, Purified, Purifier, PurifyMemo,
     Sig, Term, Var, VarSet,
@@ -520,14 +520,6 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
     ) -> StoreOutcome {
         if degraded {
             self.stats.bump(cs::SKIPS);
-            // Later rounds must re-purify and re-saturate from scratch —
-            // the skipped store is where that recomputation was lost.
-            provenance::record_at_current_round(
-                provenance::LossKind::CacheSkippedDegraded,
-                "logical-product/split-cache",
-                "logical",
-                0,
-            );
             return StoreOutcome::SkippedDegraded;
         }
         let mut shard = self.lock();
@@ -810,7 +802,17 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             || self.budget.is_exhausted()
             || self.budget.degrade_count() != degrades_before;
         match self.cache.store_split(fp, e, &out, degraded) {
-            StoreOutcome::SkippedDegraded => self.stats.add(jc::CACHE_SKIPS, 1),
+            StoreOutcome::SkippedDegraded => {
+                self.stats.add(jc::CACHE_SKIPS, 1);
+                // Later rounds must re-purify and re-saturate from
+                // scratch — the skipped store is where that
+                // recomputation was lost.
+                self.budget.record(Event::new(
+                    LossKind::CacheSkippedDegraded,
+                    "logical-product/split-cache",
+                    "degraded split not cached",
+                ));
+            }
             StoreOutcome::StoredEvicting => self.stats.add(jc::CACHE_EVICTIONS, 1),
             StoreOutcome::Stored | StoreOutcome::Disabled => {}
         }
@@ -963,17 +965,13 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                     }
                     if t.as_var() == Some(y) || t.mentions_any(&v2) {
                         self.stats.add(jc::DEFS_REJECTED, 1);
-                        self.budget.degrade("logical-product/q-saturation", {
-                            format!("skipped defective Alternate definition {y} = {t}")
-                        });
                         // The definition the Alternate would have
                         // transferred across the product is dropped.
-                        provenance::record_at_current_round(
-                            provenance::LossKind::AlternateSkipped,
+                        self.budget.record(Event::new(
+                            LossKind::AlternateSkipped,
                             "logical-product/q-saturation",
-                            "logical.alt",
-                            self.budget.spent(),
-                        );
+                            format!("skipped defective Alternate definition {y} = {t}"),
+                        ));
                         continue;
                     }
                     self.stats.add(jc::DEFS_FOUND, 1);

@@ -13,7 +13,8 @@
 //! The policy is a *pure deterministic function* of sizes, incident
 //! counts, and remaining fuel: no clock, no randomness, no thread count.
 //! [`BudgetPolicy::Flat`] reproduces the pre-policy behaviour bit for bit
-//! (equal [`Budget::split`] shares, no per-loop slices, no narrowing) and
+//! (equal [`Budget::split_weighted`] shares, no per-loop slices, no
+//! narrowing) and
 //! is the default everywhere.
 
 use crate::budget::Budget;
@@ -65,8 +66,8 @@ impl SizeMeasures {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BudgetPolicy {
     /// The pre-policy behaviour, bit for bit: per-job slices are equal
-    /// [`Budget::split`] shares, loops share the analysis pool directly,
-    /// and no narrowing runs.
+    /// [`Budget::split_weighted`] shares, loops share the analysis pool
+    /// directly, and no narrowing runs.
     #[default]
     Flat,
     /// Size-proportional governance: per-job slices are weighted by
@@ -145,16 +146,16 @@ impl BudgetPolicy {
         (size.weight() / incidents.saturating_add(1)).max(1)
     }
 
-    /// Allocates the per-job budget slices for one batch: equal
-    /// [`Budget::split`] shares under [`Flat`](BudgetPolicy::Flat)
-    /// (bit-identical to the pre-policy driver), weight-proportional
-    /// [`Budget::split_weighted`] shares under
+    /// Allocates the per-job budget slices for one batch with
+    /// [`Budget::split_weighted`]: equal shares under
+    /// [`Flat`](BudgetPolicy::Flat) (bit-identical to the pre-policy
+    /// driver), weight-proportional shares under
     /// [`Adaptive`](BudgetPolicy::Adaptive). `weights` is one entry per
     /// job, in job order — determinism requires callers to build it in a
     /// thread-count-independent order.
     pub fn job_slices(&self, budget: &Budget, weights: &[u64]) -> Vec<Budget> {
         match self {
-            BudgetPolicy::Flat => budget.split(weights.len()),
+            BudgetPolicy::Flat => budget.split_weighted(&vec![1; weights.len()]),
             BudgetPolicy::Adaptive { .. } => budget.split_weighted(weights),
         }
     }
@@ -194,12 +195,14 @@ mod tests {
         assert_eq!(p.narrow_rounds(), 0);
         assert_eq!(p.loop_fuel(&body), None);
         assert_eq!(p.narrow_fuel(&body), 0);
-        // Flat slices are exactly Budget::split, share for share.
-        let a = p.job_slices(&Budget::fuel(23), &[5, 1, 9]);
-        let b = Budget::fuel(23).split(3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.remaining_fuel(), y.remaining_fuel());
-        }
+        // Flat slices are equal shares whatever the weights, the
+        // remainder going one tick apiece to the first slices.
+        let shares: Vec<Option<u64>> = p
+            .job_slices(&Budget::fuel(23), &[5, 1, 9])
+            .iter()
+            .map(Budget::remaining_fuel)
+            .collect();
+        assert_eq!(shares, [Some(8), Some(8), Some(7)]);
     }
 
     #[test]

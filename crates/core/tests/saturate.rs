@@ -114,7 +114,9 @@ fn reduced_product_le_and_bottom() {
 /// Adversarial mock domains that stress the exchange loop's termination
 /// and bottom handling beyond what the well-behaved real domains exercise.
 mod adversarial {
-    use cai_core::{no_saturate, no_saturate_budgeted, AbstractDomain, Budget, Partition};
+    use cai_core::{
+        no_saturate, no_saturate_budgeted, AbstractDomain, Budget, LossKind, Partition,
+    };
     use cai_term::{Atom, Conj, Sig, Term, TheoryTag, Var, VarSet};
     use std::fmt;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,7 +234,9 @@ mod adversarial {
         assert!(!s.bottom);
         assert!(budget.is_exhausted());
         let report = budget.report();
-        assert!(report.events.iter().any(|e| e.site == "no_saturate"));
+        assert!(report
+            .events_of(LossKind::BudgetDegrade)
+            .any(|e| e.site == "no_saturate"));
     }
 
     /// The exchanged equality itself produces bottom in the partner

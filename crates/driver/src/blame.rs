@@ -2,11 +2,10 @@
 //! proves fewer assertions than another.
 //!
 //! [`differential`] takes two runs of the same module — a *better* and a
-//! *worse* leg, each a [`ModuleAnalysis`] paired with the
-//! [`BlameTable`](cai_obs::BlameTable) drained from its run — diffs the
-//! per-procedure assertion verdicts, and joins every regressed fact to
-//! the ranked loss events recorded at that procedure's scope. The result
-//! reads as a causal report:
+//! *worse* [`ModuleAnalysis`], each carrying its run's blame table in
+//! its degradation report — diffs the per-procedure assertion verdicts,
+//! and joins every regressed fact to the ranked loss events recorded at
+//! that procedure's scope. The result reads as a causal report:
 //!
 //! ```text
 //! assert 3 in `big` lost <= widen at big/loop#0 (analyzer/while) under flat policy
@@ -15,8 +14,8 @@
 //! Causes are ranked by how much *more* the worse leg hit the loss row
 //! than the better leg (count delta, descending), falling back to the
 //! worse leg's absolute count and then the deterministic
-//! `(scope, site, domain, kind)` key — the same total order whichever
-//! thread count produced the tables.
+//! `(scope, site, kind)` key — the same total order whichever thread
+//! count produced the tables.
 
 use cai_obs::{escape_metric_name, BlameTable, LossKind};
 use std::fmt;
@@ -31,8 +30,8 @@ pub struct BlameCause {
     pub scope: String,
     /// The loss site string (e.g. `analyzer/while`).
     pub site: &'static str,
-    /// The domain path (e.g. `interp`, `logical.alt`).
-    pub domain: String,
+    /// The domain path of the site (e.g. `interp`, `logical`).
+    pub domain: &'static str,
     /// Why the facts were lost.
     pub kind: LossKind,
     /// Event count in the worse leg.
@@ -56,7 +55,7 @@ impl BlameCause {
             r#"{{"scope":"{}","site":"{}","domain":"{}","kind":"{}","delta":{},"worse_count":{},"better_count":{}}}"#,
             escape_metric_name(&self.scope),
             escape_metric_name(self.site),
-            escape_metric_name(&self.domain),
+            self.domain,
             self.kind.as_str(),
             self.delta(),
             self.worse_count,
@@ -204,40 +203,29 @@ impl fmt::Display for DifferentialReport {
 fn causes_for(proc: &str, better: &BlameTable, worse: &BlameTable) -> Vec<BlameCause> {
     let mut causes: Vec<BlameCause> = worse
         .for_scope(proc)
-        .map(|e| {
-            let better_count = better
-                .for_scope(proc)
-                .find(|b| {
-                    b.scope == e.scope
-                        && b.site == e.site
-                        && b.domain == e.domain
-                        && b.kind == e.kind
-                })
-                .map_or(0, |b| b.count);
-            BlameCause {
-                scope: e.scope.clone(),
-                site: e.site,
-                domain: e.domain.clone(),
-                kind: e.kind,
-                worse_count: e.count,
-                better_count,
-            }
+        .into_iter()
+        .map(|e| BlameCause {
+            better_count: better.count(&e.scope, e.site, e.kind),
+            scope: e.scope,
+            site: e.site,
+            domain: e.domain,
+            kind: e.kind,
+            worse_count: e.count,
         })
         .collect();
     causes.sort_by(|a, b| {
         b.delta()
             .cmp(&a.delta())
             .then(b.worse_count.cmp(&a.worse_count))
-            .then_with(|| {
-                (&a.scope, a.site, &a.domain, a.kind).cmp(&(&b.scope, b.site, &b.domain, b.kind))
-            })
+            .then_with(|| (&a.scope, a.site, a.kind).cmp(&(&b.scope, b.site, b.kind)))
     });
     causes
 }
 
 /// Diffs the assertion verdicts of two runs of the same module and joins
 /// every regression (verified under `better`, unverified under `worse`)
-/// to the ranked loss events at its procedure's scope.
+/// to the ranked loss events at its procedure's scope, read from each
+/// run's own blame table.
 ///
 /// Procedures are matched by name and assertions by program-order index;
 /// a procedure or index present in only one leg is skipped (the module
@@ -246,14 +234,14 @@ fn causes_for(proc: &str, better: &BlameTable, worse: &BlameTable) -> Vec<BlameC
 /// order for causes.
 pub fn differential(
     better_label: &str,
-    better: (&ModuleAnalysis, &BlameTable),
+    better: &ModuleAnalysis,
     worse_label: &str,
-    worse: (&ModuleAnalysis, &BlameTable),
+    worse: &ModuleAnalysis,
 ) -> DifferentialReport {
     let mut regressions = Vec::new();
     let mut inversions = 0usize;
-    for wr in &worse.0.reports {
-        let Some(br) = better.0.reports.iter().find(|r| r.name == wr.name) else {
+    for wr in &worse.reports {
+        let Some(br) = better.reports.iter().find(|r| r.name == wr.name) else {
             continue;
         };
         for (index, (b, w)) in br.assertions.iter().zip(&wr.assertions).enumerate() {
@@ -262,7 +250,11 @@ pub fn differential(
                     proc: wr.name.clone(),
                     index,
                     atom: b.atom.to_string(),
-                    causes: causes_for(&wr.name, better.1, worse.1),
+                    causes: causes_for(
+                        &wr.name,
+                        &better.degradation.blame,
+                        &worse.degradation.blame,
+                    ),
                 });
             } else if w.verified && !b.verified {
                 inversions += 1;
@@ -282,8 +274,8 @@ mod tests {
     use super::*;
     use crate::engine::ProcReport;
     use crate::summary::Summary;
+    use cai_core::{Budget, Event};
     use cai_interp::AssertionOutcome;
-    use cai_obs::BlameEntry;
     use cai_term::{Atom, Term};
 
     fn report(name: &str, verdicts: &[bool]) -> ProcReport {
@@ -302,60 +294,54 @@ mod tests {
         }
     }
 
-    fn analysis(reports: Vec<ProcReport>) -> ModuleAnalysis {
+    /// A run of `reports` whose budget recorded `losses` — `(scope,
+    /// site, kind, count)` rows.
+    fn analysis(
+        reports: Vec<ProcReport>,
+        losses: &[(&str, &'static str, LossKind, u64)],
+    ) -> ModuleAnalysis {
+        let budget = Budget::unlimited();
+        for &(scope, site, kind, count) in losses {
+            for _ in 0..count {
+                budget.record(Event::new(kind, site, "").scoped(scope));
+            }
+        }
         ModuleAnalysis {
             reports,
             reused: 0,
             recomputed: 0,
-            degradation: Default::default(),
+            degradation: budget.report(),
             ctx: Default::default(),
             supervision: Default::default(),
         }
     }
 
-    fn entry(scope: &str, site: &'static str, kind: LossKind, count: u64) -> BlameEntry {
-        BlameEntry {
-            scope: scope.to_string(),
-            site,
-            domain: "interp".to_string(),
-            kind,
-            count,
-            fuel: 0,
-            round_min: 0,
-            round_max: 0,
-        }
-    }
-
     #[test]
     fn regressions_join_causes_ranked_by_delta() {
-        let better = analysis(vec![report("f", &[true, true])]);
-        let worse = analysis(vec![report("f", &[true, false])]);
-        let better_blame = BlameTable {
-            entries: vec![
-                entry("f", "driver/context", LossKind::CtxCapOverflow, 5),
-                entry("f/loop#0", "analyzer/while", LossKind::Widen, 1),
+        let better = analysis(
+            vec![report("f", &[true, true])],
+            &[
+                ("f", "driver/context", LossKind::CtxCapOverflow, 5),
+                ("f/loop#0", "analyzer/while", LossKind::Widen, 1),
             ],
-        };
-        let worse_blame = BlameTable {
-            entries: vec![
+        );
+        let worse = analysis(
+            vec![report("f", &[true, false])],
+            &[
                 // Same count both legs: delta 0, ranks below the widen row
                 // despite the higher absolute count.
-                entry("f", "driver/context", LossKind::CtxCapOverflow, 5),
-                entry("f/loop#0", "analyzer/while", LossKind::Widen, 4),
+                ("f", "driver/context", LossKind::CtxCapOverflow, 5),
+                ("f/loop#0", "analyzer/while", LossKind::Widen, 4),
             ],
-        };
-        let d = differential(
-            "adaptive policy",
-            (&better, &better_blame),
-            "flat policy",
-            (&worse, &worse_blame),
         );
+        let d = differential("adaptive policy", &better, "flat policy", &worse);
         assert_eq!(d.regressions.len(), 1);
         assert_eq!(d.inversions, 0);
         let r = &d.regressions[0];
         assert_eq!((r.proc.as_str(), r.index), ("f", 1));
         assert_eq!(r.causes.len(), 2);
         assert_eq!(r.causes[0].site, "analyzer/while");
+        assert_eq!(r.causes[0].domain, "interp");
         assert_eq!(r.causes[0].delta(), 3);
         assert_eq!(r.causes[1].delta(), 0);
         let line = d.to_string();
@@ -370,10 +356,9 @@ mod tests {
 
     #[test]
     fn empty_diff_and_inversions_are_reported() {
-        let a = analysis(vec![report("g", &[false, true])]);
-        let b = analysis(vec![report("g", &[true, true])]);
-        let none = BlameTable::default();
-        let d = differential("better", (&a, &none), "worse", (&b, &none));
+        let a = analysis(vec![report("g", &[false, true])], &[]);
+        let b = analysis(vec![report("g", &[true, true])], &[]);
+        let d = differential("better", &a, "worse", &b);
         assert!(d.is_empty());
         assert_eq!(d.inversions, 1);
         assert!(d.to_string().contains("not ordered"), "{d}");

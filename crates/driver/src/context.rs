@@ -22,7 +22,7 @@
 //! final, so specializing on them would entangle the fixpoint.
 
 use crate::summary::{entry_context, entry_key, instantiate_summary, summarize, Summary};
-use cai_core::AbstractDomain;
+use cai_core::{AbstractDomain, Event, LossKind};
 use cai_interp::{AnalysisConfig, Analyzer, CallResolver, CallSite, Module, Procedure};
 use cai_obs::{provenance, write_kv, CounterFamily};
 use cai_term::Conj;
@@ -300,13 +300,13 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         // The cap is where entry distinctions die: every overflow entry
         // is widened into one context (or all the way to the ⊤-entry
         // summary), so blame the loss on the overflowing procedure.
-        provenance::record_scoped(
-            &proc.name,
-            provenance::LossKind::CtxCapOverflow,
-            "driver/context",
-            "driver.context",
-            0,
-            self.cfg.budget.spent(),
+        self.cfg.budget.record(
+            Event::new(
+                LossKind::CtxCapOverflow,
+                "driver/context",
+                "entry widened into the overflow context",
+            )
+            .scoped(&proc.name),
         );
         let (prev, recomputes) = {
             let store = self.store.borrow();
@@ -381,7 +381,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         self.in_progress.borrow_mut().push((proc.name.clone(), key));
         // Losses inside the specialization belong to the callee, not to
         // whatever caller scope demanded it.
-        let blame_scope = provenance::scope(|| format!("{}@ctx", proc.name));
+        let blame_scope = provenance::scope(format!("{}@ctx", proc.name));
         let analysis = Analyzer::new(d)
             .with_calls(self)
             .with_config(self.cfg.clone())

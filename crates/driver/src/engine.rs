@@ -11,11 +11,11 @@ use crate::summary::{
 use crate::supervisor::{self, SupStats, SupStatsSnapshot, Supervised, SupervisorCfg, Watchdog};
 use cai_core::cache::{self as ccache, cs, Cache, StoreOutcome};
 use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, CacheConfig, DegradationReport, Incident, IncidentKind,
-    SizeMeasures,
+    AbstractDomain, BlameTable, Budget, BudgetPolicy, CacheConfig, DegradationReport, Event,
+    LossKind, SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
-use cai_obs::provenance;
+use cai_obs::{provenance, FamilySnapshot};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
@@ -59,8 +59,9 @@ pub struct ModuleAnalysis {
     pub reused: usize,
     /// Procedures (re)analyzed this run.
     pub recomputed: usize,
-    /// The merged degradation report: the driver's own budget plus every
-    /// worker slice.
+    /// The merged degradation report of this run: every job slice's
+    /// events plus the driver's own (rejected cache entries, skipped
+    /// summary stores), and the fuel and flags of the driver's budget.
     pub degradation: DegradationReport,
     /// Context-sensitivity counters for this run (all zero under
     /// [`Driver::context_cap`]`(0)`).
@@ -197,36 +198,6 @@ fn entry_checksum(fingerprint: u64, report: &ProcReport, contexts: &[Summary]) -
     h.finish()
 }
 
-/// Point-in-time counters of the [`SummaryCache`] — the same
-/// observability shape as `cai_core::JoinStats`: plain data, subtract
-/// two to meter a region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Procedure reports reused across runs (fingerprint match).
-    pub hits: u64,
-    /// Procedure reports recomputed (cold or dirty cone).
-    pub misses: u64,
-    /// Entries dropped or replaced because the procedure left the
-    /// module or its fingerprint changed.
-    pub evictions: u64,
-    /// Entries rejected because their content failed the integrity
-    /// checksum (each also counts as an eviction, and the procedure is
-    /// recomputed).
-    pub corruptions: u64,
-    /// Entry-keyed context specializations currently stored.
-    pub contexts: u64,
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hits={} misses={} evictions={} corruptions={} contexts={}",
-            self.hits, self.misses, self.evictions, self.corruptions, self.contexts
-        )
-    }
-}
-
 /// The incremental cache: per-procedure summaries keyed by a stable
 /// fingerprint of the procedure's text, its transitive callee cone (see
 /// [`scc_fingerprint`]), and the driver's context configuration. Feed
@@ -245,8 +216,8 @@ impl std::fmt::Display for CacheStats {
 #[derive(Clone, Debug)]
 pub struct SummaryCache {
     entries: BTreeMap<String, CacheEntry>,
-    /// Exponentially decayed per-procedure incident counts (panics,
-    /// stalls, quarantines, cache corruptions) from recent runs. The
+    /// Exponentially decayed per-procedure fault counts (panics, stalls,
+    /// quarantines, cache corruptions) from recent runs. The
     /// adaptive [`BudgetPolicy`] damps a procedure's scheduling weight by
     /// this, so chronically faulty procedures stop soaking up fuel that
     /// healthy ones could convert into precision.
@@ -291,26 +262,16 @@ impl SummaryCache {
         self.entries.is_empty()
     }
 
-    /// Cumulative hit/miss/eviction counters plus the current number of
-    /// stored context specializations. A plain-data snapshot of the
-    /// unified counter family, kept for callers that diff two snapshots
-    /// to meter a region.
-    pub fn stats(&self) -> CacheStats {
-        let snap = self.stats.snapshot();
-        CacheStats {
-            hits: snap.get(cs::HITS),
-            misses: snap.get(cs::MISSES),
-            evictions: snap.get(cs::EVICTIONS),
-            corruptions: snap.get(cs::CORRUPTIONS),
-            contexts: self.entries.values().map(|e| e.contexts.len() as u64).sum(),
-        }
+    /// The number of entry-keyed context specializations stored.
+    pub fn context_count(&self) -> u64 {
+        self.entries.values().map(|e| e.contexts.len() as u64).sum()
     }
 
     /// Drops every entry whose content fails its integrity checksum and
-    /// records the rejected procedure names on `budget` as
-    /// [`IncidentKind::CacheCorruption`] incidents. Called by the driver
-    /// before any reuse decision; corrupted procedures are simply
-    /// recomputed.
+    /// records each rejection on `budget` as a
+    /// [`LossKind::CacheCorruption`] event against its procedure. Called
+    /// by the driver before any reuse decision; corrupted procedures are
+    /// simply recomputed.
     fn reject_corrupt(&mut self, budget: &Budget) {
         let corrupt: Vec<String> = self
             .entries
@@ -322,36 +283,36 @@ impl SummaryCache {
             self.entries.remove(&name);
             self.stats.bump(cs::CORRUPTIONS);
             self.stats.bump(cs::EVICTIONS);
-            // `Budget::incident` emits the `incident/cache-corruption`
-            // tracer instant — one mapping for every incident kind.
-            budget.incident(Incident {
-                kind: IncidentKind::CacheCorruption,
-                subject: name,
-                detail: "cache entry failed its integrity checksum; rejected and recomputed"
-                    .to_string(),
-                attempt: 0,
-            });
+            budget.record(
+                Event::new(
+                    LossKind::CacheCorruption,
+                    "driver/summary-cache",
+                    "cache entry failed its integrity checksum; rejected and recomputed",
+                )
+                .scoped(&name),
+            );
         }
     }
 
-    /// The decayed incident count remembered for a procedure (0 for a
-    /// procedure with no recent incidents). Feeds
+    /// The decayed fault count remembered for a procedure (0 for a
+    /// procedure with no recent faults). Feeds
     /// [`BudgetPolicy::job_weight`] when the driver apportions fuel.
     pub fn incident_count(&self, name: &str) -> u64 {
         self.incidents.get(name).copied().unwrap_or(0)
     }
 
-    /// Folds one run's incidents into the history: existing counts are
-    /// halved first (so the history is *recent* — an incident from k runs
-    /// ago weighs 2⁻ᵏ), then each of this run's incidents adds one to its
-    /// subject. Deterministic: depends only on the incidents fed in.
-    fn absorb_incidents<'a>(&mut self, incidents: impl Iterator<Item = &'a Incident>) {
+    /// Folds one run's faults into the history: existing counts are
+    /// halved first (so the history is *recent* — a fault from k runs
+    /// ago weighs 2⁻ᵏ), then each fault event of the run's blame table
+    /// adds one to its procedure. Deterministic, and uncapped: the table
+    /// counts every event, stored or not.
+    fn absorb_faults(&mut self, blame: &BlameTable) {
         for count in self.incidents.values_mut() {
             *count /= 2;
         }
         self.incidents.retain(|_, count| *count > 0);
-        for incident in incidents {
-            *self.incidents.entry(incident.subject.clone()).or_insert(0) += 1;
+        for row in blame.entries().into_iter().filter(|e| e.kind.is_fault()) {
+            *self.incidents.entry(row.scope).or_insert(0) += row.count;
         }
     }
 
@@ -390,14 +351,6 @@ impl Cache for SummaryCache {
             // ⊤ pin is a this-run survival measure and must never poison
             // a later run (degradation-aware invalidation).
             self.stats.bump(cs::SKIPS);
-            provenance::record_scoped(
-                &key,
-                provenance::LossKind::CacheSkippedDegraded,
-                "driver/summary-cache",
-                "driver",
-                0,
-                0,
-            );
             return StoreOutcome::SkippedDegraded;
         }
         if self.capacity == 0 {
@@ -670,14 +623,15 @@ where
     /// Entries for procedures no longer in the module are pruned.
     pub fn analyze_with_cache(&self, module: &Module, cache: &mut SummaryCache) -> ModuleAnalysis {
         let _span = cai_obs::span!("driver/analyze-module");
-        let cache_before = cache.stats();
-        // The driver budget's incident log persists across runs; remember
-        // where it stood so only *this run's* incidents feed the cache's
-        // decayed history.
-        let prior_incidents = self.cfg.budget.report().incidents.len();
+        let cache_before = cache.stats.snapshot();
+        // The driver's own events of this run (rejected cache entries,
+        // skipped summary stores) go on a recorder of their own: the
+        // driver's budget outlives its runs, and a run reports only what
+        // it recorded.
+        let run = Budget::unlimited();
         // Integrity first: a corrupted entry must be rejected before any
         // reuse decision looks at it (recompute, never wrong reuse).
-        cache.reject_corrupt(&self.cfg.budget);
+        cache.reject_corrupt(&run);
 
         let graph = CallGraph::build(module);
         let n_sccs = graph.sccs.len();
@@ -807,14 +761,6 @@ where
                 &mut reports,
             )
         };
-        let main_report = self.cfg.budget.report();
-        cache.absorb_incidents(
-            degradation
-                .incidents
-                .iter()
-                .chain(main_report.incidents.iter().skip(prior_incidents)),
-        );
-        degradation.merge(&main_report);
 
         // Merge context specializations deterministically: the seed
         // first (it was every job's memo base), then each job's store in
@@ -864,8 +810,27 @@ where
                 .map(|m| m.into_values().take(self.context_cap).collect())
                 .unwrap_or_default();
             let entry = CacheEntry::new(fingerprint, report, contexts);
-            Cache::store(cache, p.name.clone(), entry, quarantined);
+            if Cache::store(cache, p.name.clone(), entry, quarantined)
+                == StoreOutcome::SkippedDegraded
+            {
+                run.record(
+                    Event::new(
+                        LossKind::CacheSkippedDegraded,
+                        "driver/summary-cache",
+                        "quarantined result not persisted",
+                    )
+                    .scoped(&p.name),
+                );
+            }
         }
+        degradation.merge(&run.report());
+        cache.absorb_faults(&degradation.blame);
+        // The driver's budget contributes its fuel and flags, but not its
+        // events: those may predate this run.
+        let main = self.cfg.budget.report();
+        degradation.degraded |= main.degraded;
+        degradation.exhausted |= main.exhausted;
+        degradation.fuel_spent = degradation.fuel_spent.saturating_add(main.fuel_spent);
 
         let ordered: Vec<ProcReport> = module
             .procs
@@ -874,7 +839,11 @@ where
             .collect();
         let ctx = ctx_stats.snapshot();
         let supervision = sup_stats.snapshot();
-        export_run_counters(&cache.stats(), &cache_before, &ctx, &supervision);
+        export_run_counters(
+            &cache.stats.snapshot().diff(&cache_before),
+            &ctx,
+            &supervision,
+        );
         ModuleAnalysis {
             reports: ordered,
             reused,
@@ -1099,11 +1068,10 @@ where
 /// The per-job budget slices for one batch, `weights` and the returned
 /// vector both in `todo` (component-index) order. Delegates to
 /// [`BudgetPolicy::job_slices`]; an empty batch still carves one unused
-/// slice, matching the pre-policy `split(len.max(1))` exactly so the
-/// parent budget's accounting is bit-identical under the flat policy.
+/// slice, so the parent budget's accounting matches a one-job batch.
 fn job_slices(policy: &BudgetPolicy, budget: &Budget, weights: &[u64], jobs: usize) -> Vec<Budget> {
     if jobs == 0 {
-        return budget.split(1);
+        return budget.split_weighted(&[1]);
     }
     policy.job_slices(budget, weights)
 }
@@ -1256,12 +1224,12 @@ where
             Err(message) => {
                 sup_stats.note_panic();
                 for &i in members {
-                    slice.incident(Incident {
-                        kind: IncidentKind::Panic,
-                        subject: module.procs[i].name.clone(),
-                        detail: format!("escaped per-procedure supervision: {message}"),
-                        attempt,
-                    });
+                    let detail =
+                        format!("attempt {attempt}: escaped per-procedure supervision: {message}");
+                    slice.record(
+                        Event::new(LossKind::Panic, "driver/supervisor", detail)
+                            .scoped(&module.procs[i].name),
+                    );
                 }
                 if attempt == 0 {
                     sup_stats.note_retry();
@@ -1269,21 +1237,19 @@ where
             }
         }
     }
-    slice.degrade(
-        "driver/supervisor",
-        "component solve crashed twice; every member quarantined to \u{22a4}",
-    );
     let out = members
         .iter()
         .map(|&i| {
             let proc = &module.procs[i];
             sup_stats.note_quarantined();
-            slice.incident(Incident {
-                kind: IncidentKind::Quarantine,
-                subject: proc.name.clone(),
-                detail: "component-level crash; summary pinned to \u{22a4}".to_string(),
-                attempt: 1,
-            });
+            slice.record(
+                Event::new(
+                    LossKind::Quarantine,
+                    "driver/supervisor",
+                    "component solve crashed twice; summary pinned to \u{22a4}",
+                )
+                .scoped(&proc.name),
+            );
             let pass = quarantined_pass(proc);
             ProcReport {
                 name: proc.name.clone(),
@@ -1413,7 +1379,7 @@ where
         let _span = cai_obs::span!(format!("analyze/{}", proc.name));
         // Blame scope: every loss the attempt records is attributed to
         // this procedure (loops nest their `loop#N` labels below it).
-        let _blame_scope = provenance::scope(|| proc.name.clone());
+        let _blame_scope = provenance::scope(proc.name.as_str());
         let outcome = supervisor::supervise(
             &proc.name,
             &cfg.sup,
@@ -1543,23 +1509,18 @@ where
     (out, take_contexts(ctx_resolver))
 }
 
-/// Mirrors one run's summary-cache traffic and the ctx/sup facade
-/// snapshots into the global `cai-obs` registry, so an `--obs-report`
-/// sees the driver layer without threading the registry through the
-/// schedulers. Cache counters are cumulative across runs, hence the
-/// before/after delta.
-fn export_run_counters(
-    now: &CacheStats,
-    before: &CacheStats,
-    ctx: &CtxStatsSnapshot,
-    sup: &SupStatsSnapshot,
-) {
-    let delta = |a: u64, b: u64| a.saturating_sub(b);
-    cai_obs::counter!("driver/summary-cache/hits").add(delta(now.hits, before.hits));
-    cai_obs::counter!("driver/summary-cache/misses").add(delta(now.misses, before.misses));
-    cai_obs::counter!("driver/summary-cache/evictions").add(delta(now.evictions, before.evictions));
-    cai_obs::counter!("driver/summary-cache/corruptions")
-        .add(delta(now.corruptions, before.corruptions));
+/// Mirrors one run's summary-cache traffic (the counter family's
+/// before/after [`diff`](FamilySnapshot::diff), since the cache counts
+/// across runs) and the ctx/sup facade snapshots into the global
+/// `cai-obs` registry, so an `--obs-report` sees the driver layer
+/// without threading the registry through the schedulers.
+fn export_run_counters(cache: &FamilySnapshot, ctx: &CtxStatsSnapshot, sup: &SupStatsSnapshot) {
+    let registry = cai_obs::global();
+    for (name, n) in cache.pairs() {
+        registry
+            .counter(&format!("driver/summary-cache/{name}"))
+            .add(n);
+    }
     cai_obs::counter!("driver/context/contexts-created").add(ctx.contexts_created);
     cai_obs::counter!("driver/context/memo-hits").add(ctx.memo_hits);
     cai_obs::counter!("driver/context/cap-widenings").add(ctx.cap_widenings);

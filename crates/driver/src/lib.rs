@@ -37,7 +37,7 @@
 //!   configuration; an edit re-analyzes only its dirty cone
 //!   ([`ModuleAnalysis::reused`] / [`ModuleAnalysis::recomputed`] count
 //!   the split) and fingerprint-valid context specializations are
-//!   reused across runs ([`SummaryCache::stats`]).
+//!   reused across runs ([`SummaryCache::context_count`]).
 
 mod blame;
 mod callgraph;
@@ -49,7 +49,7 @@ mod supervisor;
 pub use blame::{differential, AssertRegression, BlameCause, DifferentialReport};
 pub use callgraph::CallGraph;
 pub use context::{ContextResolver, CtxStats, CtxStatsSnapshot};
-pub use engine::{CacheEntry, CacheStats, Driver, ModuleAnalysis, ProcReport, SummaryCache};
+pub use engine::{CacheEntry, Driver, ModuleAnalysis, ProcReport, SummaryCache};
 pub use summary::{
     config_fingerprint, entry_context, entry_key, instantiate_summary, member_fingerprint,
     scc_fingerprint, summarize, Summary, SummaryResolver,

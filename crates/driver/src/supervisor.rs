@@ -10,7 +10,7 @@
 //! 1. **Isolate.** Every per-procedure analysis runs inside
 //!    [`supervise`], the one `catch_unwind` boundary of the workspace
 //!    (`ci.sh` greps for strays). A panic is caught, recorded as a
-//!    structured [`Incident`] on the job's budget slice, and silenced
+//!    [`LossKind::Panic`] event on the job's budget slice, and silenced
 //!    from stderr while inside the boundary (the quiet hook below) so a
 //!    chaos run does not drown the logs.
 //! 2. **Retry with backoff.** A panicked procedure is re-attempted up to
@@ -36,7 +36,7 @@
 //! bit-identical across thread counts. The watchdog is the one
 //! deliberately wall-clock-dependent piece and is off by default.
 
-use cai_core::{Budget, Incident, IncidentKind};
+use cai_core::{Budget, Event, LossKind};
 use cai_obs::{clock, write_kv, CounterFamily};
 use std::cell::Cell;
 use std::fmt;
@@ -126,8 +126,8 @@ impl SupStats {
     /// dispatch a transactional local `SupStats` and commits it here only
     /// when the dispatch returns: a wholesale crash abandons the
     /// dispatch's results, so its retry/quarantine accounting must not
-    /// leak into the batch counters (the incident log, by contrast,
-    /// keeps the full event trace including abandoned dispatches).
+    /// leak into the batch counters (the event log, by contrast, keeps
+    /// the full trace including abandoned dispatches).
     pub(crate) fn absorb(&self, other: &SupStats) {
         self.fam.absorb(&other.fam);
     }
@@ -216,7 +216,7 @@ fn install_quiet_hook() {
     });
 }
 
-/// Renders a caught panic payload for incident records.
+/// Renders a caught panic payload for event records.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -304,14 +304,10 @@ pub(crate) fn supervise<T>(
             }
             Err(payload) => {
                 stats.fam.bump(sc::PANICS_CAUGHT);
-                // `Budget::incident` emits the tagged `incident/panic`
-                // tracer instant — the one mapping for every kind.
-                slice.incident(Incident {
-                    kind: IncidentKind::Panic,
-                    subject: subject.to_string(),
-                    detail: panic_message(payload.as_ref()),
-                    attempt: k,
-                });
+                let detail = format!("attempt {k}: {}", panic_message(payload.as_ref()));
+                slice.record(
+                    Event::new(LossKind::Panic, "driver/supervisor", detail).scoped(subject),
+                );
                 if k < cfg.max_retries {
                     stats.fam.bump(sc::RETRIES);
                 }
@@ -319,22 +315,11 @@ pub(crate) fn supervise<T>(
         }
     }
     stats.fam.bump(sc::QUARANTINED);
-    slice.degrade(
-        "driver/supervisor",
-        format!(
-            "`{subject}` quarantined to the \u{22a4} summary after {} panicking attempts",
-            cfg.max_retries + 1
-        ),
+    let detail = format!(
+        "all {} attempts panicked; summary pinned to \u{22a4}",
+        cfg.max_retries + 1
     );
-    slice.incident(Incident {
-        kind: IncidentKind::Quarantine,
-        subject: subject.to_string(),
-        detail: format!(
-            "all {} attempts panicked; summary pinned to \u{22a4}",
-            cfg.max_retries + 1
-        ),
-        attempt: cfg.max_retries,
-    });
+    slice.record(Event::new(LossKind::Quarantine, "driver/supervisor", detail).scoped(subject));
     Supervised::Quarantined
 }
 
@@ -424,22 +409,13 @@ impl Watchdog {
                     state.fired = true;
                     state.watching = None;
                     drop(state);
-                    shared.budget.degrade(
-                        "driver/supervisor",
-                        format!(
-                            "`{subject}` overran the {:?} procedure deadline; watchdog exhausted the job slice",
-                            shared.deadline
-                        ),
+                    let detail = format!(
+                        "exceeded the {:?} procedure deadline; budget slice exhausted",
+                        shared.deadline
                     );
-                    shared.budget.incident(Incident {
-                        kind: IncidentKind::Stall,
-                        subject,
-                        detail: format!(
-                            "exceeded the {:?} procedure deadline; budget slice exhausted",
-                            shared.deadline
-                        ),
-                        attempt: 0,
-                    });
+                    shared.budget.record(
+                        Event::new(LossKind::Stall, "driver/supervisor", detail).scoped(&subject),
+                    );
                     shared.stats.fam.bump(sc::STALLS);
                     shared.budget.exhaust();
                     return;
@@ -498,7 +474,7 @@ mod tests {
         assert!(matches!(out, Supervised::Done(42)));
         let snap = stats.snapshot();
         assert_eq!(snap, SupStatsSnapshot::default());
-        assert!(slice.report().incidents.is_empty());
+        assert!(slice.report().events.is_empty());
     }
 
     #[test]
@@ -527,8 +503,10 @@ mod tests {
         assert_eq!(snap.recovered, 1);
         assert_eq!(snap.quarantined, 0);
         let report = slice.report();
-        assert_eq!(report.incidents_of(IncidentKind::Panic).count(), 1);
-        assert!(report.incidents[0].detail.contains("injected once"));
+        let panics: Vec<_> = report.events_of(LossKind::Panic).collect();
+        assert_eq!(panics.len(), 1);
+        assert_eq!(panics[0].scope, "flaky");
+        assert!(panics[0].detail.contains("attempt 0: injected once"));
         assert!(
             !report.degraded,
             "a recovered panic produced the exact result"
@@ -567,7 +545,9 @@ mod tests {
         assert_eq!(snap.quarantined, 1);
         let report = slice.report();
         assert!(report.degraded, "quarantine is a real precision loss");
-        assert_eq!(report.incidents_of(IncidentKind::Quarantine).count(), 1);
+        assert_eq!(report.events_of(LossKind::Quarantine).count(), 1);
+        // Recorded once, as its own kind: no extra `budget-degrade`.
+        assert_eq!(report.events_of(LossKind::BudgetDegrade).count(), 0);
     }
 
     #[test]
@@ -612,7 +592,11 @@ mod tests {
         drop(watchdog);
         assert_eq!(stats.snapshot().stalls, 1);
         let report = slice.report();
-        assert_eq!(report.incidents_of(IncidentKind::Stall).count(), 1);
+        let stalls: Vec<_> = report.events_of(LossKind::Stall).collect();
+        assert_eq!(stalls.len(), 1);
+        // Blamed on the procedure on the clock, not the watchdog thread.
+        assert_eq!(stalls[0].scope, "spinner");
+        assert_eq!(report.events_of(LossKind::BudgetDegrade).count(), 0);
         assert!(report.degraded && report.exhausted);
     }
 

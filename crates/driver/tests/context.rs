@@ -4,7 +4,8 @@
 //! across thread counts, budget degradation, and incremental reuse of
 //! context specializations.
 
-use cai_core::{AbstractDomain, Budget, LogicalProduct};
+use cai_core::cache::cs;
+use cai_core::{AbstractDomain, Budget, Cache, LogicalProduct};
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
@@ -251,13 +252,13 @@ fn cached_context_specializations_are_reused_across_runs() {
     let mut cache = SummaryCache::new();
     let cold = driver.analyze_with_cache(&module(&src_v(0)), &mut cache);
     assert_eq!(cold.ctx.contexts_created, 2);
-    assert_eq!(cache.stats().contexts, 2);
+    assert_eq!(cache.context_count(), 2);
 
     // Unchanged module: everything reused, no jobs, contexts retained.
     let warm = driver.analyze_with_cache(&module(&src_v(0)), &mut cache);
     assert_eq!((warm.reused, warm.recomputed), (3, 0));
     assert_eq!(warm.ctx.contexts_created, 0);
-    assert_eq!(cache.stats().contexts, 2);
+    assert_eq!(cache.context_count(), 2);
 
     // Edit one caller: its job reuses bump's cached specialization (a
     // memo hit) instead of re-deriving it.
@@ -267,11 +268,14 @@ fn cached_context_specializations_are_reused_across_runs() {
     assert!(inc.ctx.memo_hits >= 1, "cached context must be a memo hit");
     assert_eq!(inc.ctx.contexts_created, 0);
 
+    assert_eq!(cache.context_count(), 2);
     let stats = cache.stats();
-    assert_eq!(stats.contexts, 2);
-    assert_eq!(stats.hits, 3 + 2);
-    assert_eq!(stats.misses, 3 + 1);
-    assert!(stats.evictions >= 1, "the edited caller's entry is evicted");
+    assert_eq!(stats.get(cs::HITS), 3 + 2);
+    assert_eq!(stats.get(cs::MISSES), 3 + 1);
+    assert!(
+        stats.get(cs::EVICTIONS) >= 1,
+        "the edited caller's entry is evicted"
+    );
 }
 
 #[test]

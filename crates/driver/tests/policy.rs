@@ -2,7 +2,7 @@
 //! slices, incident-history damping through the summary cache, thread
 //! count independence, and the flat policy's bit-identity contract.
 
-use cai_core::{AbstractDomain, Budget, BudgetPolicy};
+use cai_core::{AbstractDomain, Budget, BudgetPolicy, ChaosConfig, ChaosDomain};
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::Polyhedra;
@@ -211,4 +211,35 @@ fn incident_history_is_recorded_decayed_and_damps_weights() {
     // A clean run halves the history away: the damping is *recent*.
     driver.analyze_with_cache(&m, &mut cache);
     assert_eq!(cache.incident_count("f"), 0, "history decays");
+}
+
+#[test]
+fn incident_history_counts_every_faulting_procedure() {
+    // 80 procedures that all panic and quarantine: 160 fault events,
+    // more than the event log stores. The history must still damp every
+    // one of them, because it reads the run's uncapped blame table.
+    let src: String = (0..80)
+        .map(|i| format!("proc p{i}(a) {{ ret := a + {i}; }}\n"))
+        .collect();
+    let m = module(&src);
+    let always_panics = Driver::new(|b: &Budget| {
+        ChaosDomain::new(Polyhedra::new(), 7)
+            .with_config(ChaosConfig {
+                panic_permille: 1000,
+                ..ChaosConfig::quiet()
+            })
+            .with_budget(b.clone())
+    })
+    .max_retries(0);
+    let mut cache = SummaryCache::new();
+    let a = always_panics.analyze_with_cache(&m, &mut cache);
+    assert_eq!(a.quarantined_count(), 80);
+    assert!(
+        a.degradation.dropped_events > 0,
+        "the stored log overflowed"
+    );
+    for p in &m.procs {
+        // One caught panic plus one quarantine each.
+        assert_eq!(cache.incident_count(&p.name), 2, "history of {}", p.name);
+    }
 }

@@ -5,7 +5,8 @@
 //! rejected and recomputed — all without a single process abort (every
 //! test completing *is* the zero-abort assertion).
 
-use cai_core::{Budget, ChaosConfig, ChaosDomain, IncidentKind, LogicalProduct};
+use cai_core::cache::cs;
+use cai_core::{Budget, Cache, ChaosConfig, ChaosDomain, LogicalProduct, LossKind};
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
@@ -60,7 +61,7 @@ fn batch(n: usize) -> Module {
 
 /// Everything observable about a run, rendered to one comparable string:
 /// reports (summary, verdicts, flags), supervision counters, and the
-/// incident log. Two runs with equal fingerprints behaved identically.
+/// event log. Two runs with equal fingerprints behaved identically.
 fn fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -78,13 +79,10 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
         "degraded={} exhausted={} fuel={}\n",
         a.degradation.degraded, a.degradation.exhausted, a.degradation.fuel_spent
     ));
-    for i in &a.degradation.incidents {
-        s.push_str(&format!(
-            "{} `{}` attempt {}\n",
-            i.kind, i.subject, i.attempt
-        ));
+    for e in &a.degradation.events {
+        s.push_str(&format!("{e}\n"));
     }
-    s.push_str(&format!("dropped={}\n", a.degradation.dropped_incidents));
+    s.push_str(&format!("dropped={}\n", a.degradation.dropped_events));
     s
 }
 
@@ -181,10 +179,10 @@ fn quarantined_procedures_pin_to_top_and_dependents_stay_sound() {
             );
             assert!(
                 a.degradation
-                    .incidents_of(IncidentKind::Quarantine)
+                    .events_of(LossKind::Quarantine)
                     .next()
                     .is_some(),
-                "quarantines leave incidents"
+                "quarantines leave events"
             );
         }
     }
@@ -236,11 +234,8 @@ fn the_watchdog_breaks_stalls_into_degradation() {
         .analyze(&m);
     assert!(a.supervision.stalls > 0, "a stall must fire at this rate");
     assert!(
-        a.degradation
-            .incidents_of(IncidentKind::Stall)
-            .next()
-            .is_some(),
-        "stalls leave incidents"
+        a.degradation.events_of(LossKind::Stall).next().is_some(),
+        "stalls are recorded"
     );
     assert!(a.degradation.degraded && a.degradation.exhausted);
     // Sound degradation, not garbage: every summary is ⊒ its clean run.
@@ -264,9 +259,13 @@ fn corrupted_cache_entries_are_rejected_and_recomputed() {
     // unsound dead-code verdicts.
     assert!(cache.corrupt_entry("mid1"), "entry exists to corrupt");
 
-    let second = Driver::new(|_| product()).analyze_with_cache(&m, &mut cache);
-    let stats = cache.stats();
-    assert_eq!(stats.corruptions, 1, "the corrupted entry was rejected");
+    let driver = Driver::new(|_| product());
+    let second = driver.analyze_with_cache(&m, &mut cache);
+    assert_eq!(
+        cache.stats().get(cs::CORRUPTIONS),
+        1,
+        "the corrupted entry was rejected"
+    );
     assert_eq!(
         (second.reused, second.recomputed),
         (m.procs.len() - 1, 1),
@@ -277,19 +276,24 @@ fn corrupted_cache_entries_are_rejected_and_recomputed() {
         first.report("mid1").expect("mid1").summary,
         "recompute, not wrong reuse: the corrupted ⊥ summary never surfaces"
     );
-    assert_eq!(
-        second
-            .degradation
-            .incidents_of(IncidentKind::CacheCorruption)
-            .count(),
-        1,
-        "the rejection is reported"
-    );
+    let corruption =
+        |a: &ModuleAnalysis| a.degradation.events_of(LossKind::CacheCorruption).count();
+    assert_eq!(corruption(&second), 1, "the rejection is reported");
 
     // The refreshed entry carries a valid checksum again.
-    let third = Driver::new(|_| product()).analyze_with_cache(&m, &mut cache);
+    let third = driver.analyze_with_cache(&m, &mut cache);
     assert_eq!((third.reused, third.recomputed), (m.procs.len(), 0));
-    assert_eq!(cache.stats().corruptions, 1, "no further rejections");
+    assert_eq!(
+        cache.stats().get(cs::CORRUPTIONS),
+        1,
+        "no further rejections"
+    );
+    // A run reports only its own events, even on the same driver: the
+    // rejection belongs to the second run, not to the warm ones after it.
+    assert_eq!(corruption(&third), 0, "the third run rejected nothing");
+    let fourth = driver.analyze_with_cache(&m, &mut cache);
+    assert_eq!((fourth.reused, fourth.recomputed), (m.procs.len(), 0));
+    assert_eq!(corruption(&fourth), 0, "the fourth run rejected nothing");
 }
 
 #[test]

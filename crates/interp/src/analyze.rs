@@ -4,7 +4,8 @@
 
 use crate::ast::{stmt_measures, Cond, Program, Stmt};
 use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, CacheConfig, DegradationReport, SizeMeasures,
+    AbstractDomain, Budget, BudgetPolicy, CacheConfig, DegradationReport, Event, LossKind,
+    SizeMeasures,
 };
 use cai_obs::provenance;
 use cai_term::{Atom, Conj, Term, Var, VarSet};
@@ -52,8 +53,9 @@ pub struct Analysis<E> {
     pub diverged: bool,
     /// Operation counters.
     pub stats: OpStats,
-    /// What the governing [`Budget`] observed: fuel spent and every place
-    /// a governed operation substituted a sound over-approximation.
+    /// What the governing [`Budget`] observed: fuel spent, every
+    /// recorded event (widenings, degradations, failed narrowings, …),
+    /// and the blame table folded over them.
     pub degradation: DegradationReport,
 }
 
@@ -424,20 +426,13 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
         let outer_budget = std::mem::replace(&mut self.budget, slice.clone());
         let mut cur = widened;
         let mut adopted = false;
-        let narrow_failed = |round: usize| {
-            provenance::record(
-                provenance::LossKind::NarrowFailed,
-                "analyzer/narrow",
-                "interp",
-                round as u64,
-                slice.spent(),
-            );
+        let narrow_failed = |why: &'static str| {
+            slice.record(Event::new(LossKind::NarrowFailed, "analyzer/narrow", why))
         };
-        for round in 1..=policy.narrow_rounds() as usize {
-            provenance::set_round(round as u64);
+        for round in 1..=policy.narrow_rounds() {
+            provenance::set_round(u64::from(round));
             if !slice.tick(1) {
-                slice.degrade("analyzer/narrow", "stopped the recovery pass early");
-                narrow_failed(round);
+                narrow_failed("stopped the recovery pass early");
                 break;
             }
             cai_obs::counter!("interp/narrow/rounds").incr();
@@ -451,13 +446,12 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
             if !d.le(&y, &cur) {
                 // Not a descent (e.g. degraded domain operations under a
                 // starved slice): keep what we have.
-                narrow_failed(round);
+                narrow_failed("the descending iterate did not descend");
                 break;
             }
             let candidate = d.narrow(&cur, &y);
             if !(d.le(&y, &candidate) && d.le(&candidate, &cur)) {
-                slice.degrade("analyzer/narrow", "rejected an out-of-bracket narrowing");
-                narrow_failed(round);
+                narrow_failed("rejected an out-of-bracket narrowing");
                 break;
             }
             if d.equal_elems(&candidate, &cur) {
@@ -470,11 +464,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
             self.stats.joins += 1;
             let check = d.join(entry, &after);
             if !d.le(&check, &candidate) {
-                slice.degrade(
-                    "analyzer/narrow",
-                    "candidate failed the inductiveness re-check",
-                );
-                narrow_failed(round);
+                narrow_failed("candidate failed the inductiveness re-check");
                 break;
             }
             cur = candidate;
@@ -560,7 +550,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 // label never depends on how many rounds the fixpoint took.
                 let loop_index = self.next_loop_index;
                 self.next_loop_index += 1;
-                let _blame_scope = provenance::scope(|| format!("loop#{loop_index}"));
+                let _blame_scope = provenance::scope(format!("loop#{loop_index}"));
                 let entry = e.clone();
                 let mut inv = e;
                 let mut iterations = 0usize;
@@ -593,13 +583,11 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                     } else {
                         self.stats.widens += 1;
                         cai_obs::counter!("interp/fixpoint/widenings").incr();
-                        provenance::record(
-                            provenance::LossKind::Widen,
+                        self.budget.record(Event::new(
+                            LossKind::Widen,
                             "analyzer/while",
-                            "interp",
-                            iterations as u64,
-                            self.budget.spent(),
-                        );
+                            "widened the loop invariant",
+                        ));
                         widened = true;
                         d.widen(&inv, &after)
                     };

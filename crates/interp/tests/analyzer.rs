@@ -2,7 +2,7 @@
 //! base domains: transfer-function behaviour, conditionals, widening, and
 //! assertion checking.
 
-use cai_core::{AbstractDomain, Budget, LogicalProduct};
+use cai_core::{AbstractDomain, Budget, LogicalProduct, LossKind};
 use cai_interp::{parse_program, Analyzer};
 use cai_linarith::{AffineEq, Polyhedra};
 use cai_numeric::ParityDomain;
@@ -242,8 +242,7 @@ fn budget_exhaustion_forces_top_invariant_soundly() {
     assert!(analysis.degradation.exhausted);
     assert!(analysis
         .degradation
-        .events
-        .iter()
+        .events_of(LossKind::BudgetDegrade)
         .any(|ev| ev.site == "analyzer/while"));
     // ⊤ verifies nothing specific about x: both assertions must fail
     // rather than be claimed unsoundly.

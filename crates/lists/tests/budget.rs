@@ -3,7 +3,7 @@
 //! must terminate, and must never prove a fact the unbudgeted domain
 //! rejects — degradation only ever loses precision.
 
-use cai_core::{AbstractDomain, Budget};
+use cai_core::{AbstractDomain, Budget, LossKind};
 use cai_lists::ListDomain;
 use cai_term::parse::Vocab;
 use cai_term::{Var, VarSet};
@@ -96,7 +96,9 @@ fn exhaustion_is_reported() {
     let report = budget.report();
     assert!(report.exhausted, "one tick cannot saturate that closure");
     assert!(report.degraded, "the early stop must be recorded");
-    assert!(report.events.iter().any(|ev| ev.site == "lists/saturate"));
+    assert!(report
+        .events_of(LossKind::BudgetDegrade)
+        .any(|ev| ev.site == "lists/saturate"));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the unbudgeted domain rejects — they only pin fewer parities / keep
 //! more sign alternatives.
 
-use cai_core::{AbstractDomain, Budget};
+use cai_core::{AbstractDomain, Budget, LossKind};
 use cai_numeric::{ParityDomain, SignDomain};
 use cai_term::parse::Vocab;
 
@@ -127,7 +127,9 @@ fn exhaustion_is_reported_by_both_domains() {
     let _ = d.from_conj(&conj);
     let report = budget.report();
     assert!(report.exhausted);
-    assert!(report.events.iter().any(|ev| ev.site == "parity/refine"));
+    assert!(report
+        .events_of(LossKind::BudgetDegrade)
+        .any(|ev| ev.site == "parity/refine"));
 
     let sconj = vocab
         .parse_conj("positive(x) & y = x + 1 & z = y + x")
@@ -137,7 +139,9 @@ fn exhaustion_is_reported_by_both_domains() {
     let _ = sd.from_conj(&sconj);
     let sreport = sbudget.report();
     assert!(sreport.exhausted);
-    assert!(sreport.events.iter().any(|ev| ev.site == "sign/refine"));
+    assert!(sreport
+        .events_of(LossKind::BudgetDegrade)
+        .any(|ev| ev.site == "sign/refine"));
 }
 
 #[test]

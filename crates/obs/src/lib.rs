@@ -24,12 +24,12 @@
 //!   writing to per-thread ring buffers (no global mutex on the hot path) and
 //!   exporting Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!   When disabled, a span is a single relaxed atomic load.
-//! * [`provenance`] — the precision blame layer: every precision-losing
-//!   operation (widening, budget degradation, context-cap overflow,
-//!   quarantine, skipped cache store, defective Alternate) records a loss
-//!   event under its procedure/loop scope, aggregated into a ranked,
-//!   deterministic [`BlameTable`] with JSON export. Same contract as the
-//!   tracer: one relaxed load when off, bit-identical results on or off.
+//! * [`provenance`] — the [`Event`] record of one precision loss or
+//!   absorbed fault (widening, budget degradation, context-cap overflow,
+//!   quarantine, skipped cache store, defective Alternate, panic, stall,
+//!   cache corruption) under its procedure/loop scope, and the ranked,
+//!   deterministic [`BlameTable`] fold over a run's events. The events
+//!   themselves are recorded on the run's budget (`cai_core::Budget`).
 //!
 //! [`clock::now`] wraps `Instant::now` so governed components (budget
 //! deadlines, the supervisor watchdog) read the clock through one audited
@@ -46,5 +46,5 @@ pub use metrics::{
     escape_metric_name, global, Counter, Gauge, Histogram, HistogramSummary, Metrics, Snapshot,
     Value,
 };
-pub use provenance::{BlameEntry, BlameTable, LossKind};
+pub use provenance::{BlameEntry, BlameTable, Event, LossKind};
 pub use trace::{EventKind, SpanGuard, Trace, TraceEvent};

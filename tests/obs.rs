@@ -56,7 +56,7 @@ fn test_module(n: usize) -> Module {
 
 /// Every observable fact of a run, as one comparable string: summaries
 /// (including their rendering), verdicts, flags, supervision counters,
-/// and the incident log.
+/// and the event log.
 fn fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -67,11 +67,8 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
         ));
     }
     s.push_str(&format!("sup={:?}\n", a.supervision));
-    for i in &a.degradation.incidents {
-        s.push_str(&format!(
-            "{} `{}` attempt {}\n",
-            i.kind, i.subject, i.attempt
-        ));
+    for e in &a.degradation.events {
+        s.push_str(&format!("{e}\n"));
     }
     s
 }
