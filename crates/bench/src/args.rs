@@ -68,18 +68,6 @@ impl Args {
         self.opt_value::<String>(name)
     }
 
-    /// Whether every argument has been consumed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// Whether an unconsumed positional argument equals `name`.
-    #[must_use]
-    pub fn has(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == name)
-    }
-
     /// The remaining (positional) arguments.
     #[must_use]
     pub fn rest(self) -> Vec<String> {
@@ -106,9 +94,9 @@ pub fn write_trace_out(path: &str) {
     }
 }
 
-/// Writes the `--blame-out FILE` JSON artifact — the shared tail of the
-/// blame drills, mirroring [`write_trace_out`]. Exits 1 when the file
-/// cannot be written.
+/// Writes the `--blame-out FILE` JSON artifact of the blame report,
+/// mirroring [`write_trace_out`]. Exits 1 when the file cannot be
+/// written.
 pub fn write_blame_out(path: &str, json: &str) {
     match std::fs::write(path, json) {
         Ok(()) => println!("wrote blame report to {path}"),
@@ -135,7 +123,6 @@ mod tests {
         assert_eq!(a.value_or("--threads", 1usize), 4);
         assert_eq!(a.value_or("--procs", 64usize), 64);
         assert!(a.opt_str("--trace-out").is_none());
-        assert!(a.has("fig1"));
         assert_eq!(a.rest(), vec!["fig1".to_string(), "fig2".to_string()]);
     }
 
@@ -143,6 +130,6 @@ mod tests {
     fn opt_value_absent_is_none() {
         let mut a = args(&[]);
         assert_eq!(a.opt_value::<u64>("--deadline-ms"), None);
-        assert!(a.is_empty());
+        assert!(a.rest().is_empty());
     }
 }

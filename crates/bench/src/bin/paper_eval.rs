@@ -12,23 +12,6 @@
 //! [`Budget`] and prints the resulting `DegradationReport` — the
 //! anytime-analysis preset.
 //!
-//! `--join-stats` re-analyzes the fig1 family with the logical product's
-//! split cache on vs. off, checks the results are bit-identical, prints
-//! both tick totals and the cache counters, and exits nonzero unless the
-//! cache hit and saved ticks. Two further legs ride along: an
-//! incremental-edit workload (a conjunction grows one atom per step) that
-//! must score sub-structural *partial* hits and spend fewer saturation
-//! rounds than the whole-conjunction memo alone, and a driver leg that
-//! pins cached vs. uncached bit-identity at 1/2/4 threads over one shared
-//! split cache.
-//!
-//! `--budget-policy` runs the canonical widening-loss loop under the
-//! flat vs. the adaptive [`BudgetPolicy`]: the adaptive run's bounded
-//! narrowing pass must recover the upper bound widening discarded
-//! (strictly more verified assertions, narrowed exit ⊑ widened exit) —
-//! including when the main fuel pool is starved — or the run exits
-//! nonzero.
-//!
 //! `--blame` prints the precision provenance of the canonical
 //! widening-loss loop: the flat-policy run's blame table and the
 //! differential report that attributes its lost `x <= 100` bound (the
@@ -41,10 +24,9 @@
 use cai_bench::{args::write_trace_out, fig1_family, thm6_family, Args, ConjGen, FIG1, FIG4, FIG8};
 use cai_core::reduce::{EncodeMode, UnaryEncoder};
 use cai_core::{
-    no_saturate, AbstractDomain, Budget, BudgetPolicy, CacheConfig, LogicalProduct, Precision,
-    ReducedProduct, SplitCache,
+    no_saturate, AbstractDomain, Budget, BudgetPolicy, LogicalProduct, Precision, ReducedProduct,
 };
-use cai_driver::{Driver, ModuleAnalysis};
+use cai_driver::Driver;
 use cai_interp::{herbrand_view, parse_module, parse_program, Analyzer, Program};
 use cai_linarith::{AffineEq, Polyhedra};
 use cai_numeric::{ParityDomain, SignDomain};
@@ -61,18 +43,10 @@ fn main() {
     }
     let obs_report = args.flag("--obs-report");
     let deadline_ms = args.opt_value::<u64>("--deadline-ms");
-    let join = args.flag("--join-stats");
-    let policy = args.flag("--budget-policy");
     let blame_flag = args.flag("--blame");
-    let ran_mode = deadline_ms.is_some() || join || policy || blame_flag;
+    let ran_mode = deadline_ms.is_some() || blame_flag;
     if let Some(ms) = deadline_ms {
         deadline(ms);
-    }
-    if join {
-        join_stats();
-    }
-    if policy {
-        budget_policy();
     }
     if blame_flag {
         blame();
@@ -179,69 +153,6 @@ fn deadline(ms: u64) {
     }
 }
 
-/// `--budget-policy`: the narrowing-recovery report. The canonical
-/// widening-loss loop (`x` counts to 100; widening extrapolates the
-/// upper bound away) is analyzed under the flat and the adaptive
-/// policy; the adaptive run's bounded descending pass must recover
-/// `x <= 100` without ever dipping below the widened invariant's
-/// soundness bracket, with or without fuel pressure on the main pool.
-fn budget_policy() {
-    header("--budget-policy — post-widening narrowing recovery");
-    let vocab = Vocab::standard();
-    let p = parse_program(
-        &vocab,
-        "x := 0;
-         while (x < 100) { x := x + 1; }
-         assert(x >= 100);
-         assert(0 <= x);
-         assert(x <= 100);",
-    )
-    .expect("counter loop parses");
-    let d = Polyhedra::new();
-
-    let flat = Analyzer::new(&d).run(&p);
-    let adaptive = Analyzer::new(&d)
-        .with_policy(BudgetPolicy::adaptive())
-        .run(&p);
-    let show = |name: &str, a: &cai_interp::Analysis<_>| {
-        println!(
-            "{name:>9}: {}/{} verified   narrow rounds {}, loops recovered {}",
-            a.verified_count(),
-            a.assertions.len(),
-            a.stats.narrow_rounds,
-            a.stats.narrow_recoveries
-        );
-    };
-    show("flat", &flat);
-    show("adaptive", &adaptive);
-
-    if !d.le(&adaptive.exit, &flat.exit) {
-        eprintln!("--budget-policy: narrowed exit escaped the widened bracket (unsound)");
-        std::process::exit(1);
-    }
-    if adaptive.verified_count() <= flat.verified_count() || adaptive.stats.narrow_recoveries == 0 {
-        eprintln!("--budget-policy: the narrowing pass failed to recover precision");
-        std::process::exit(1);
-    }
-
-    // Fuel pressure: the ascending fixpoint is cut short by exhaustion,
-    // yet the recovery slice (independent fuel) still narrows.
-    let starved = Analyzer::new(&d)
-        .with_budget(Budget::fuel(40))
-        .with_policy(BudgetPolicy::adaptive())
-        .run(&p);
-    show("starved", &starved);
-    if !d.le(&starved.exit, &flat.exit) {
-        eprintln!("--budget-policy: starved narrowing escaped the widened bracket (unsound)");
-        std::process::exit(1);
-    }
-    if starved.verified_count() <= flat.verified_count() {
-        eprintln!("--budget-policy: recovery must survive a starved main pool");
-        std::process::exit(1);
-    }
-    println!("recovery OK: narrowed \u{2291} widened, strictly more assertions verified");
-}
-
 /// `--blame`: precision provenance on the canonical widening-loss loop.
 /// The flat-policy run widens `x <= 100` away and never narrows; its
 /// blame table records the loss and the differential report attributes
@@ -259,218 +170,6 @@ fn blame() {
         "{}",
         cai_driver::differential("adaptive policy", &adaptive, "flat policy", &flat)
     );
-}
-
-/// `--join-stats`: the split cache + batched elimination report. Each
-/// fig1-family program is analyzed twice per product (the second pass is
-/// the warmed re-analysis the interprocedural driver performs), cache on
-/// vs. off. The cache must be semantically invisible — identical verdicts
-/// and exit states — while measurably cutting budget ticks.
-fn join_stats() {
-    header("--join-stats — split-cache effect on the fig1 family");
-    let vocab = Vocab::standard();
-    let mut failed = false;
-    let mut total_hits = 0u64;
-    let mut total_cached_ticks = 0u64;
-    let mut total_uncached_ticks = 0u64;
-    println!(
-        "{:<4} {:>12} {:>12} {:>8} {:>8} {:>10}",
-        "k", "ticks (on)", "ticks (off)", "hits", "misses", "identical?"
-    );
-    for k in 1..=3usize {
-        let p = parse_program(&vocab, &fig1_family(k)).expect("family parses");
-        let run = |d: LogicalProduct<AffineEq, UfDomain>| {
-            let analyzer = Analyzer::new(&d);
-            let first = analyzer.run(&p);
-            let second = analyzer.run(&p);
-            let flags: Vec<bool> = second.assertions.iter().map(|a| a.verified).collect();
-            let same_rounds = first.exit == second.exit;
-            (
-                flags,
-                second.exit,
-                d.budget().spent(),
-                d.stats().snapshot(),
-                same_rounds,
-            )
-        };
-        let product = || LogicalProduct::new(AffineEq::new(), UfDomain::new());
-        let (va, ea, ticks_on, stats, stable) =
-            run(product().with_cache_config(&CacheConfig::default()));
-        let (vb, eb, ticks_off, _, _) = run(product().with_cache_config(&CacheConfig::disabled()));
-        // The pre-redesign builder must be an exact alias of the unified
-        // config (old-API vs. new-API bit-identity).
-        let (vc, ec, _, _, _) =
-            run(product().with_split_cache_capacity(cai_core::DEFAULT_SPLIT_CACHE_CAPACITY));
-        let identical = va == vb && ea == eb && stable && vc == va && ec == ea;
-        failed |= !identical;
-        total_hits += stats.cache_hits;
-        total_cached_ticks += ticks_on;
-        total_uncached_ticks += ticks_off;
-        println!(
-            "{:<4} {:>12} {:>12} {:>8} {:>8} {:>10}",
-            k,
-            ticks_on,
-            ticks_off,
-            stats.cache_hits,
-            stats.cache_misses,
-            if identical { "yes" } else { "NO" }
-        );
-        println!("     {stats}");
-    }
-    println!(
-        "totals: {total_cached_ticks} ticks with cache, {total_uncached_ticks} without, \
-         {total_hits} hits"
-    );
-    if failed {
-        eprintln!("--join-stats: the cache changed an analysis result");
-        std::process::exit(1);
-    }
-    if total_hits == 0 {
-        eprintln!("--join-stats: the warmed re-analysis never hit the cache");
-        std::process::exit(1);
-    }
-    if total_cached_ticks >= total_uncached_ticks {
-        eprintln!(
-            "--join-stats: no tick reduction \
-             ({total_cached_ticks} cached vs {total_uncached_ticks} uncached)"
-        );
-        std::process::exit(1);
-    }
-    incremental_edit(&vocab);
-    driver_identity(&vocab);
-}
-
-/// The incremental-edit leg: a conjunction grows one atom per step — the
-/// shape re-analysis of an edited procedure produces. The sub-structural
-/// memo must answer the grown conjunctions by resuming from the cached
-/// subset (partial hits > 0) and run strictly fewer NO-saturation rounds
-/// than the whole-conjunction memo alone, while results stay bit-identical
-/// across uncached / whole-only / sub-structural configurations.
-fn incremental_edit(vocab: &Vocab) {
-    println!("\nincremental-edit workload (one new conjunct per step):");
-    // Two interleaved mixed-theory chains from a shared root. Deriving
-    // `b_i = c_i` takes one NO-saturation round per theory alternation, so
-    // a from-scratch split of the grown conjunction costs rounds
-    // proportional to its depth — exactly what resuming from the cached
-    // one-atom-smaller base avoids.
-    let atoms: Vec<String> = {
-        let mut v = vec!["b0 = 0".to_string(), "c0 = 0".to_string()];
-        for i in 1..=3usize {
-            v.push(format!("a{i} = F(b{})", i - 1));
-            v.push(format!("d{i} = F(c{})", i - 1));
-            v.push(format!("b{i} = a{i} + 1"));
-            v.push(format!("c{i} = d{i} + 1"));
-        }
-        v
-    };
-    let grown = |k: usize| {
-        vocab
-            .parse_conj(&atoms[..k].join(" & "))
-            .expect("grown conjunction parses")
-    };
-    let other = vocab
-        .parse_conj("w = F(b0 + 5)")
-        .expect("other side parses");
-    let run = |cfg: &CacheConfig| {
-        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_cache_config(cfg);
-        let results: Vec<String> = (2..=atoms.len())
-            .map(|k| d.join(&grown(k), &other).to_string())
-            .collect();
-        (results, d.budget().spent(), d.stats().snapshot())
-    };
-    let (r_off, t_off, _) = run(&CacheConfig::disabled());
-    let (r_whole, t_whole, s_whole) = run(&CacheConfig::whole_only());
-    let (r_sub, t_sub, s_sub) = run(&CacheConfig::default());
-    println!("  ticks: uncached {t_off}, whole-conjunction {t_whole}, sub-structural {t_sub}");
-    println!(
-        "  whole-conjunction: saturation rounds={} {s_whole}",
-        s_whole.saturation_rounds
-    );
-    println!(
-        "  sub-structural   : saturation rounds={} partial-hit rate={:.1}% {s_sub}",
-        s_sub.saturation_rounds,
-        100.0 * s_sub.cache_partial_hit_rate()
-    );
-    if r_off != r_whole || r_off != r_sub {
-        eprintln!("--join-stats: incremental-edit results differ across cache configs");
-        std::process::exit(1);
-    }
-    if s_sub.cache_partial_hits == 0 {
-        eprintln!("--join-stats: the sub-structural memo never scored a partial hit");
-        std::process::exit(1);
-    }
-    if s_sub.saturation_rounds >= s_whole.saturation_rounds {
-        eprintln!(
-            "--join-stats: sub-structural memo saved no saturation rounds ({} vs {})",
-            s_sub.saturation_rounds, s_whole.saturation_rounds
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The driver leg: one shared split cache (clones share) serves 1-, 2- and
-/// 4-thread batch runs; every cached run must be bit-identical to the
-/// others and to the fully uncached baseline.
-fn driver_identity(vocab: &Vocab) {
-    println!("\ndriver leg (cached vs uncached, shared split cache, 1/2/4 threads):");
-    let mut src = String::new();
-    for i in 0..6 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut src,
-            format_args!(
-                "proc p{i}(a) {{
-                     x := a + {i};
-                     y := F(x);
-                     while (*) {{ x := x + 1; y := F(x); }}
-                     assert(y = F(x));
-                     ret := x;
-                 }}\n"
-            ),
-        );
-    }
-    let m = parse_module(vocab, &src).expect("driver-leg module parses");
-    let run_fp = |a: &ModuleAnalysis| -> String {
-        let mut s = String::new();
-        for r in a {
-            let verdicts: Vec<bool> = r.assertions.iter().map(|o| o.verified).collect();
-            let _ = std::fmt::Write::write_fmt(
-                &mut s,
-                format_args!("{} | {} | {verdicts:?}\n", r.name, r.summary),
-            );
-        }
-        s
-    };
-    let baseline = run_fp(
-        &Driver::new(|_: &Budget| {
-            LogicalProduct::new(AffineEq::new(), UfDomain::new())
-                .with_cache_config(&CacheConfig::disabled())
-        })
-        .threads(1)
-        .analyze(&m),
-    );
-    let shared = SplitCache::with_config(&CacheConfig::default());
-    for threads in [1usize, 2, 4] {
-        let cache = shared.clone();
-        let a = Driver::new(move |_: &Budget| {
-            LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_split_cache(cache.clone())
-        })
-        .threads(threads)
-        .analyze(&m);
-        let identical = run_fp(&a) == baseline;
-        println!(
-            "  {threads} thread(s): {}",
-            if identical {
-                "identical to uncached baseline"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if !identical {
-            eprintln!("--join-stats: cached driver run diverged from the uncached baseline");
-            std::process::exit(1);
-        }
-    }
-    println!("  shared-cache stats: {}", shared.stats());
 }
 
 fn header(title: &str) {

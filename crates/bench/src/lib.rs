@@ -195,8 +195,6 @@ pub struct PolicyFuel {
     /// `cost_big`, padded by one tick per job for the slice-remainder
     /// floor.
     pub pool: u64,
-    /// Jobs in the module: one per procedure.
-    pub jobs: u64,
 }
 
 impl PolicyFuel {
@@ -218,14 +216,7 @@ impl PolicyFuel {
         PolicyFuel {
             cost_big,
             pool: (cost_big * total).div_ceil(weight(big)) + jobs,
-            jobs,
         }
-    }
-
-    /// Whether an equal (flat) share of the pool is less than what `big`
-    /// needs — the premise of the flat-vs-adaptive comparison.
-    pub fn flat_starves_big(&self) -> bool {
-        self.pool / self.jobs < self.cost_big
     }
 }
 

@@ -5,8 +5,8 @@
 //! cache — each grew their own builder surface, counters, and invalidation
 //! conventions. This module is the single vocabulary both speak:
 //!
-//! - [`Cache`]: keyed insert/lookup with verified hits, a capacity with a
-//!   declared [`Eviction`] policy, degradation-aware invalidation (a value
+//! - [`Cache`]: keyed insert/lookup with verified hits, a capacity (a full
+//!   table is cleared wholesale), degradation-aware invalidation (a value
 //!   computed under a starved budget is returned but never stored), an
 //!   FNV [`checksum`](Cache::checksum) hook for integrity audits, and
 //!   [`CacheStats`] built on [`cai_obs::CounterFamily`];
@@ -137,26 +137,12 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// How a cache makes room once it reaches capacity.
-///
-/// The stack's working sets are small and cyclic (fixpoint rounds revisit
-/// the same conjunctions; a module's procedure set is fixed), so the only
-/// implemented policy is the cheapest one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Eviction {
-    /// Clear the whole table and start refilling — no per-entry
-    /// bookkeeping, and a fixpoint's working set repopulates in one round.
-    #[default]
-    ClearAll,
-}
-
 /// Default capacity of the per-alien-term memo (entries, not bytes).
 pub const DEFAULT_TERM_MEMO_CAPACITY: usize = 4096;
 
 /// Default capacity of the driver's summary cache (entries per procedure
-/// name; effectively unbounded for realistic modules, but declared so the
-/// eviction policy has a trigger).
+/// name; effectively unbounded for realistic modules, but declared so
+/// eviction has a trigger).
 pub const DEFAULT_SUMMARY_CACHE_CAPACITY: usize = 4096;
 
 /// The one configuration block for every cache in the stack, threaded
@@ -172,8 +158,6 @@ pub struct CacheConfig {
     pub term_capacity: usize,
     /// Driver summary-cache capacity (procedure summaries).
     pub summary_capacity: usize,
-    /// How full tables make room.
-    pub eviction: Eviction,
 }
 
 impl Default for CacheConfig {
@@ -182,7 +166,6 @@ impl Default for CacheConfig {
             split_capacity: crate::logical::DEFAULT_SPLIT_CACHE_CAPACITY,
             term_capacity: DEFAULT_TERM_MEMO_CAPACITY,
             summary_capacity: DEFAULT_SUMMARY_CACHE_CAPACITY,
-            eviction: Eviction::ClearAll,
         }
     }
 }
@@ -195,7 +178,6 @@ impl CacheConfig {
             split_capacity: 0,
             term_capacity: 0,
             summary_capacity: 0,
-            eviction: Eviction::ClearAll,
         }
     }
 
@@ -243,8 +225,11 @@ pub enum StoreOutcome {
 ///   collision reads as a miss, never as a wrong value.
 /// - **Degradation-aware invalidation**: `store(…, degraded = true)` must
 ///   not persist the value ([`StoreOutcome::SkippedDegraded`]).
-/// - **Capacity + eviction**: a full table makes room per its configured
-///   [`Eviction`] policy; capacity 0 disables storage.
+/// - **Capacity + eviction**: a full table is cleared wholesale to make
+///   room — the stack's working sets are small and cyclic (fixpoint
+///   rounds revisit the same conjunctions; a module's procedure set is
+///   fixed), so a fixpoint's working set repopulates in one round and no
+///   per-entry bookkeeping is kept; capacity 0 disables storage.
 /// - **Checksum hook**: [`checksum`](Cache::checksum) is an FNV digest of
 ///   the table's keys, for cheap identity/integrity audits (two handles to
 ///   the same logical cache agree; a snapshot can be diffed later).

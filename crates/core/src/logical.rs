@@ -38,7 +38,7 @@
 //!
 //! [`JoinStats`] exposes counters for all of the above; set `CAI_TRACE`
 //! (or enable the `cai-obs` tracer programmatically) for per-phase span
-//! timings, or run `paper_eval --join-stats` for an end-to-end report.
+//! timings, or run `perfbench` for an end-to-end per-layer report.
 
 use crate::budget::Budget;
 use crate::cache::{cs, Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo};
@@ -313,9 +313,8 @@ fn atom_set_fp(atoms: &BTreeSet<&Atom>) -> u64 {
 /// [`LogicalProduct::with_split_cache`] for the invalidation rules.
 ///
 /// Capacity 0 disables the cache. When a table reaches capacity it is
-/// cleared wholesale ([`Eviction::ClearAll`](crate::cache::Eviction): the
-/// working set of a fixpoint is small and cyclic, so LRU bookkeeping is
-/// not worth its overhead).
+/// cleared wholesale (the working set of a fixpoint is small and cyclic,
+/// so LRU bookkeeping is not worth its overhead).
 pub struct SplitCache<E1, E2> {
     inner: Arc<Mutex<CacheShard<E1, E2>>>,
     /// The per-alien-term memo, sharing this cache's [`CacheStats`].
@@ -358,17 +357,7 @@ impl<E1, E2> SplitCache<E1, E2> {
         SplitCache::with_config(&CacheConfig::default())
     }
 
-    /// A cache holding at most `capacity` whole-conjunction splits
-    /// (0 disables caching); the sub-structural layer keeps its default
-    /// capacity. Kept as a thin wrapper over [`SplitCache::with_config`].
-    pub fn with_capacity(capacity: usize) -> SplitCache<E1, E2> {
-        SplitCache::with_config(&CacheConfig {
-            split_capacity: capacity,
-            ..CacheConfig::default()
-        })
-    }
-
-    /// A cache configured by `cfg` — the one constructor the others wrap.
+    /// A cache configured by `cfg` (a split capacity of 0 disables it).
     pub fn with_config(cfg: &CacheConfig) -> SplitCache<E1, E2> {
         let stats = CacheStats::new();
         SplitCache {
@@ -680,22 +669,9 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
 
     /// Replaces the split cache with one built from `cfg` — the unified
     /// configuration surface ([`CacheConfig`] rides through
-    /// `AnalysisConfig`). The legacy builders
-    /// ([`with_split_cache_capacity`](Self::with_split_cache_capacity))
-    /// are thin wrappers over this.
+    /// `AnalysisConfig`); [`CacheConfig::disabled`] turns caching off.
     pub fn with_cache_config(self, cfg: &CacheConfig) -> Self {
         self.with_split_cache(SplitCache::with_config(cfg))
-    }
-
-    /// Replaces the split cache with one of the given whole-conjunction
-    /// capacity (0 disables caching — used by A/B measurements). A thin
-    /// wrapper over [`with_cache_config`](Self::with_cache_config), kept
-    /// for source compatibility; results are identical either way.
-    pub fn with_split_cache_capacity(self, capacity: usize) -> Self {
-        self.with_cache_config(&CacheConfig {
-            split_capacity: capacity,
-            ..CacheConfig::default()
-        })
     }
 
     /// The purification/saturation memo cache.

@@ -20,7 +20,8 @@ fn cached() -> LogicalProduct<AffineEq, UfDomain> {
 }
 
 fn uncached() -> LogicalProduct<AffineEq, UfDomain> {
-    LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_split_cache_capacity(0)
+    LogicalProduct::new(AffineEq::new(), UfDomain::new())
+        .with_cache_config(&CacheConfig::disabled())
 }
 
 /// A multi-round "fixpoint": repeatedly join the accumulator with the two
@@ -231,7 +232,9 @@ fn starved_round_leaves_per_term_entries_healthy() {
 
 /// A sub-structural partial hit — the query's atoms are a superset of a
 /// cached conjunction's — resumes saturation on the delta and must be
-/// bit-identical to the uncached computation.
+/// bit-identical to the uncached computation. On a conjunction grown one
+/// atom per step (the shape re-analysis of an edited procedure produces),
+/// resuming also saves saturation rounds over the whole-conjunction memo.
 #[test]
 fn partial_hit_resume_is_bit_identical() {
     let v = Vocab::standard();
@@ -247,6 +250,39 @@ fn partial_hit_resume_is_bit_identical() {
     assert!(
         s.cache_partial_hits > 0,
         "the grown conjunction should have resumed from the cached base: {s}"
+    );
+
+    // Two interleaved mixed-theory chains from a shared root. Deriving
+    // `b_i = c_i` takes one saturation round per theory alternation, so a
+    // from-scratch split of the grown conjunction costs rounds
+    // proportional to its depth — what resuming from the cached
+    // one-atom-smaller base avoids.
+    let mut atoms = vec!["b0 = 0".to_string(), "c0 = 0".to_string()];
+    for i in 1..=3 {
+        atoms.push(format!("a{i} = F(b{})", i - 1));
+        atoms.push(format!("d{i} = F(c{})", i - 1));
+        atoms.push(format!("b{i} = a{i} + 1"));
+        atoms.push(format!("c{i} = d{i} + 1"));
+    }
+    let other = conj(&v, "w = F(b0 + 5)");
+    let grow = |cfg: &CacheConfig| {
+        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_cache_config(cfg);
+        let joins: Vec<Conj> = (2..=atoms.len())
+            .map(|k| d.join(&conj(&v, &atoms[..k].join(" & ")), &other))
+            .collect();
+        (joins, d.stats().snapshot())
+    };
+    let (uncached_joins, _) = grow(&CacheConfig::disabled());
+    let (whole_joins, whole) = grow(&CacheConfig::whole_only());
+    let (sub_joins, sub) = grow(&CacheConfig::default());
+    assert_eq!(whole_joins, uncached_joins, "the whole-conjunction memo");
+    assert_eq!(sub_joins, uncached_joins, "the sub-structural memo");
+    assert!(sub.cache_partial_hits > 0, "no partial hits: {sub}");
+    assert!(
+        sub.saturation_rounds < whole.saturation_rounds,
+        "resuming saved no saturation rounds ({} vs {} whole-only)",
+        sub.saturation_rounds,
+        whole.saturation_rounds
     );
 }
 

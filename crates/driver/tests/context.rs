@@ -69,6 +69,20 @@ fn incomparable_entries_get_separate_exact_specializations() {
     assert_eq!(verdicts(&insens, "c3"), [false]);
     assert_eq!(verdicts(&insens, "c7"), [false]);
     assert_eq!(insens.ctx.contexts_created, 0);
+
+    // The logical product specializes the same way, and every
+    // entry-keyed exit is ⊑ the insensitive one.
+    let sens = product().analyze(&m);
+    let insens = product().context_cap(0).analyze(&m);
+    assert_eq!((sens.verified_count(), insens.verified_count()), (2, 0));
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+    for (s, i) in sens.iter().zip(&insens) {
+        assert!(
+            exit_le(&d, &s.summary, &i.summary),
+            "context-sensitive summary of `{}` must be ⊑ the insensitive one",
+            s.name
+        );
+    }
 }
 
 #[test]

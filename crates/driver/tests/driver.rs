@@ -385,10 +385,10 @@ fn domain_le_is_used_not_structural_equality() {
 fn shared_split_cache_is_deterministic_across_thread_counts() {
     // A factory may close over one `SplitCache`/`JoinStats` pair so every
     // worker's logical product shares the purification memo. The cache is
-    // semantically invisible, so the verdicts must be identical whatever
-    // the thread count or hit pattern — and a loop-heavy module must
-    // actually hit it.
-    use cai_core::{JoinStats, LogicalProduct, SplitCache};
+    // semantically invisible, so summaries and verdicts must be identical
+    // whatever the thread count or hit pattern — and a loop-heavy module
+    // must actually hit it.
+    use cai_core::{CacheConfig, JoinStats, LogicalProduct, SplitCache};
     use cai_uf::UfDomain;
 
     let m = module(
@@ -407,8 +407,8 @@ fn shared_split_cache_is_deterministic_across_thread_counts() {
          }",
     );
 
-    let run = |threads: usize, capacity: usize| {
-        let cache: SplitCache<_, _> = SplitCache::with_capacity(capacity);
+    let run = |threads: usize, cfg: &CacheConfig| {
+        let cache: SplitCache<_, _> = SplitCache::with_config(cfg);
         let stats = JoinStats::new();
         let driver = Driver::new({
             let cache = cache.clone();
@@ -422,24 +422,28 @@ fn shared_split_cache_is_deterministic_across_thread_counts() {
         })
         .threads(threads);
         let a = driver.analyze(&m);
+        let summaries: Vec<_> = a
+            .iter()
+            .map(|r| (r.name.clone(), r.summary.clone(), r.summary.to_string()))
+            .collect();
         (
-            verdicts(&a, "sum"),
-            verdicts(&a, "main"),
+            (summaries, verdicts(&a, "sum"), verdicts(&a, "main")),
             stats.snapshot().cache_hits,
         )
     };
 
-    let (sum1, main1, hits1) = run(1, 1024);
-    assert_eq!(sum1, [true]);
-    assert_eq!(main1, [true]);
-    assert!(hits1 > 0, "loop-heavy module produced no cache hits");
-
-    for threads in [2, 4] {
-        let (s, m_, _) = run(threads, 1024);
-        assert_eq!((s, m_), (sum1.clone(), main1.clone()), "{threads} threads");
-    }
-    // And with the cache disabled the verdicts are still the same.
-    let (s0, m0, hits0) = run(1, 0);
-    assert_eq!((s0, m0), (sum1, main1), "cache changed the verdicts");
+    // The uncached baseline every cached run must reproduce.
+    let (baseline, hits0) = run(1, &CacheConfig::disabled());
+    assert_eq!(baseline.1, [true]);
+    assert_eq!(baseline.2, [true]);
     assert_eq!(hits0, 0);
+
+    for threads in [1, 2, 4] {
+        let (got, hits) = run(threads, &CacheConfig::default());
+        assert_eq!(
+            got, baseline,
+            "{threads} threads: the cache changed a result"
+        );
+        assert!(hits > 0, "loop-heavy module produced no cache hits");
+    }
 }

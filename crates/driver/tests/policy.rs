@@ -36,9 +36,12 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
         ));
     }
     s.push_str(&format!(
-        "degraded={} exhausted={} fuel={}\n",
-        a.degradation.degraded, a.degradation.exhausted, a.degradation.fuel_spent
+        "degraded={} exhausted={} fuel={} sup={:?}\n",
+        a.degradation.degraded, a.degradation.exhausted, a.degradation.fuel_spent, a.supervision
     ));
+    for e in &a.degradation.events {
+        s.push_str(&format!("{e}\n"));
+    }
     s
 }
 
@@ -160,6 +163,37 @@ fn adaptive_runs_are_identical_across_thread_counts() {
     assert!(base.contains("big"), "sanity: reports present");
     for threads in [2, 4] {
         assert_eq!(run(threads), base, "threads={threads}");
+    }
+
+    // Under injected panics too: retries and quarantines are decided per
+    // job, so they do not depend on the schedule either.
+    for seed in 0..4u64 {
+        let chaos = |threads: usize| {
+            Driver::new(move |b: &Budget| {
+                ChaosDomain::new(Polyhedra::new(), seed)
+                    .with_config(ChaosConfig {
+                        panic_permille: 20,
+                        ..ChaosConfig::quiet()
+                    })
+                    .with_budget(b.clone())
+            })
+            .threads(threads)
+            .with_budget(Budget::fuel(4_000))
+            .budget_policy(BudgetPolicy::adaptive())
+            .analyze(&m)
+        };
+        let base = chaos(1);
+        assert!(
+            base.supervision.panics_caught > 0,
+            "seed {seed}: no panic fired"
+        );
+        for threads in [2, 4] {
+            assert_eq!(
+                fingerprint(&chaos(threads)),
+                fingerprint(&base),
+                "seed {seed}: threads={threads}"
+            );
+        }
     }
 }
 

@@ -2,9 +2,9 @@
 //! rounds must be semantically invisible: cache on vs. off yields
 //! bit-identical analyses — including after a budget-starved round — while
 //! the multi-round fixpoint (join rounds, widening, and the recording
-//! pass) actually exercises the cache.
+//! pass) actually exercises the cache and spends fewer ticks.
 
-use cai_core::{AbstractDomain, Budget, LogicalProduct, SplitCache};
+use cai_core::{AbstractDomain, Budget, CacheConfig, LogicalProduct, SplitCache};
 use cai_interp::{parse_program, Analyzer, Program};
 use cai_linarith::AffineEq;
 use cai_term::parse::Vocab;
@@ -48,7 +48,8 @@ fn summary(
 fn analysis_is_bit_identical_with_and_without_cache() {
     let (_v, p) = program();
     let with_cache = Product::new(AffineEq::new(), UfDomain::new());
-    let without = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache_capacity(0);
+    let without =
+        Product::new(AffineEq::new(), UfDomain::new()).with_cache_config(&CacheConfig::disabled());
 
     let a = Analyzer::new(&with_cache).run(&p);
     let b = Analyzer::new(&without).run(&p);
@@ -61,6 +62,11 @@ fn analysis_is_bit_identical_with_and_without_cache() {
         "a multi-round fixpoint produced no cache hits: {s}"
     );
     assert_eq!(without.stats().snapshot().cache_hits, 0);
+    let (ticks_on, ticks_off) = (with_cache.budget().spent(), without.budget().spent());
+    assert!(
+        ticks_on < ticks_off,
+        "the cache saved no ticks ({ticks_on} cached vs {ticks_off} uncached)"
+    );
 }
 
 #[test]
@@ -98,7 +104,8 @@ fn starved_round_does_not_poison_later_analyses() {
     }
 
     let funded = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache(shared);
-    let fresh = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache_capacity(0);
+    let fresh =
+        Product::new(AffineEq::new(), UfDomain::new()).with_cache_config(&CacheConfig::disabled());
     let a = Analyzer::new(&funded).run(&p);
     let b = Analyzer::new(&fresh).run(&p);
     assert_eq!(

@@ -1,6 +1,7 @@
 //! Integration tests of the post-widening narrowing recovery pass: the
-//! pinned precision-recovery case, its soundness bracket, recovery after
-//! budget-forced widening, and the flat-policy bit-identity contract.
+//! pinned precision-recovery case and its counters, its soundness
+//! bracket, recovery after budget-forced widening, and the flat-policy
+//! bit-identity contract.
 
 use cai_core::{AbstractDomain, Budget, BudgetPolicy};
 use cai_interp::{parse_program, Analyzer, Program};
@@ -35,6 +36,14 @@ fn narrowing_recovers_the_widened_upper_bound() {
     assert_eq!(flat_got, [true, true, false], "flat loses the upper bound");
     assert_eq!(flat.stats.narrow_rounds, 0, "flat never narrows");
 
+    // The registry is process-global and its counters only grow, so a
+    // test running in parallel can add to this one but never hide it.
+    let recovered = || {
+        cai_obs::global()
+            .snapshot()
+            .counter("interp/narrow/loops-recovered")
+    };
+    let before = recovered();
     let adaptive = Analyzer::new(&d)
         .with_policy(BudgetPolicy::adaptive())
         .run(&p);
@@ -43,6 +52,10 @@ fn narrowing_recovers_the_widened_upper_bound() {
     assert_eq!(got, [true, true, true], "narrowing recovers x <= 100");
     assert!(adaptive.stats.narrow_rounds > 0, "narrowing actually ran");
     assert_eq!(adaptive.stats.narrow_recoveries, 1, "one loop recovered");
+    assert!(
+        recovered() > before,
+        "the recovery must show in the interp/narrow counters"
+    );
 }
 
 #[test]
@@ -105,6 +118,13 @@ fn narrowing_recovers_after_budget_forced_widening() {
         "narrowing recovers even when the main pool ran dry"
     );
     assert!(starved_adaptive.stats.narrow_recoveries >= 1);
+    // The starved recovery stays inside the soundness bracket: below
+    // the widened exit of an unstarved flat run.
+    let widened = Analyzer::new(&d).run(&p).exit;
+    assert!(
+        d.le(&starved_adaptive.exit, &widened),
+        "starved narrowing escaped the widened bracket"
+    );
 }
 
 #[test]
