@@ -25,7 +25,7 @@ if [ -n "$strays" ]; then
 fi
 
 echo "== observability confinement gate =="
-# All logging and wall-clock reads go through cai-obs (spans, counters,
+# All logging and wall-clock reads go through cai-obs (spans, events,
 # clock::now). A stray eprintln! is invisible to the exporters; a stray
 # Instant::now() risks wall-clock creeping into analysis decisions and
 # breaking the bit-identical determinism contract (DESIGN.md section 10).
@@ -62,7 +62,7 @@ echo "== report binaries smoke (paper_eval --blame, driver_eval --smoke) =="
 # step keeps the report printers and their artifacts exercised. One
 # driver_eval run covers the smoke gates (determinism, warm cache,
 # one-procedure edit), the blame legs and their JSON export, the Chrome
-# trace, and the counter report.
+# trace, and the run report.
 cargo run --release -p cai-bench --bin paper_eval --offline -- --blame
 blame_json=$(mktemp /tmp/cai-blame.XXXXXX.json)
 obs_trace=$(mktemp /tmp/cai-trace.XXXXXX.json)
@@ -71,21 +71,16 @@ cargo run --release -p cai-bench --bin driver_eval --offline -- \
     --smoke --chaos-seed 7 --blame-out "$blame_json" --trace-out "$obs_trace" \
     --obs-report | tee "$obs_log"
 test -s "$blame_json" || { echo "--blame-out wrote no JSON"; exit 1; }
-# The exported Chrome trace must be parseable, non-empty JSON.
-python3 - "$obs_trace" <<'PY'
-import json, sys
-events = json.load(open(sys.argv[1]))
-assert isinstance(events, list) and events, "trace must be a non-empty array"
-for e in events:
-    assert e["ph"] in ("X", "i") and "ts" in e and "name" in e, e
-print(f"trace OK: {len(events)} events")
-PY
-# The counter report must cover every instrumented layer, and the
-# event-log drop counter must be visible (an explicit zero when nothing
+# The trace export's shape is checked by tests/obs.rs; here the file
+# must merely exist and be non-empty.
+test -s "$obs_trace" || { echo "--trace-out wrote no trace"; exit 1; }
+# The run report must print each of the run's counters, and the
+# event-log drop count must be visible (an explicit zero when nothing
 # was dropped), so silent event loss is ruled out by inspection.
-for prefix in core/ uf/ interp/ driver/ core/budget/events-dropped; do
-    grep -q "^$prefix" "$obs_log" || {
-        echo "obs report is missing $prefix"; exit 1; }
+for line in "  fuel_spent=" "dropped_events=" "  ctx: " "  supervision: " \
+    "  summary cache (" "  join (all runs): "; do
+    grep -qF -- "$line" "$obs_log" || {
+        echo "obs report is missing '$line'"; exit 1; }
 done
 rm -f "$blame_json" "$obs_trace" "$obs_log"
 

@@ -6,17 +6,19 @@
 //! cargo run --release -p cai-bench --bin driver_eval                    # defaults
 //! cargo run --release -p cai-bench --bin driver_eval -- --procs 64 --threads 8
 //! cargo run --release -p cai-bench --bin driver_eval -- --smoke         # quick CI check
-//! cargo run --release -p cai-bench --bin driver_eval -- --obs-report    # counter registry dump
+//! cargo run --release -p cai-bench --bin driver_eval -- --obs-report    # the runs' own counters
 //! cargo run --release -p cai-bench --bin driver_eval -- --trace-out prof.json  # Chrome trace
 //! cargo run --release -p cai-bench --bin driver_eval -- --blame        # provenance report
 //! cargo run --release -p cai-bench --bin driver_eval -- --blame-out blame.json # + JSON export
 //! ```
 //!
-//! `--obs-report` prints the global `cai-obs` counter registry at exit
-//! (plus the run's shared join stats under `core/join/…`); `--trace-out
-//! FILE` enables the span tracer and writes a Chrome `trace_event` JSON
-//! profile loadable in `chrome://tracing` or Perfetto. Neither changes
-//! any analysis result.
+//! `--obs-report` prints what the runs counted: the one-procedure edit
+//! run's degradation report (fuel, stored events, `dropped_events`), its
+//! context and supervision counters, the summary cache's counters, and
+//! the join stats every product of the binary shares. `--trace-out FILE`
+//! enables the span tracer and writes a Chrome `trace_event` JSON profile
+//! loadable in `chrome://tracing` or Perfetto. Neither changes any
+//! analysis result.
 //!
 //! `--blame` (and `--blame-out FILE`, which also writes the JSON export)
 //! prints the blame legs of `cai_bench::blame` — the calibrated
@@ -31,7 +33,7 @@ use cai_bench::{
     args::{write_blame_out, write_trace_out},
     batch_module, Args,
 };
-use cai_core::{Budget, JoinStats, LogicalProduct};
+use cai_core::{Budget, Cache, JoinStats, LogicalProduct};
 use cai_driver::{Driver, ModuleAnalysis, SummaryCache};
 use cai_linarith::AffineEq;
 use cai_uf::UfDomain;
@@ -40,7 +42,7 @@ use std::time::Instant;
 type Product = LogicalProduct<AffineEq, UfDomain>;
 
 /// The logical-product driver; every job's product shares `stats`, so
-/// one `--obs-report` line set aggregates the whole batch.
+/// the `--obs-report` join line aggregates every run of the binary.
 fn product_driver_with(stats: &JoinStats) -> Driver<Product, impl Fn(&Budget) -> Product + Sync> {
     let stats = stats.clone();
     Driver::new(move |_: &Budget| {
@@ -198,13 +200,26 @@ fn main() {
 
     // --- observability exports (report + trace last, so they see it all) --
     if obs_report {
-        // Register the event-log drop counter so a clean run reports it
-        // as an explicit zero rather than omitting the line.
-        cai_obs::counter!("core/budget/events-dropped");
-        let mut snap = cai_obs::global().snapshot();
-        join_stats.export_into(&mut snap, "core/join");
-        println!("\nobs report:");
-        println!("{snap}");
+        // `dropped_events` prints even at zero, so silent event loss is
+        // ruled out by inspection.
+        let d = &inc.degradation;
+        println!("\nobs report (edit run):");
+        println!(
+            "  fuel_spent={} degraded={} exhausted={}",
+            d.fuel_spent, d.degraded, d.exhausted
+        );
+        println!(
+            "  events stored={} dropped_events={}",
+            d.events.len(),
+            d.dropped_events
+        );
+        for ev in &d.events {
+            println!("    {ev}");
+        }
+        println!("  ctx: {}", inc.ctx);
+        println!("  supervision: {}", inc.supervision);
+        println!("  summary cache (cold, warm, edit): {}", cache.stats());
+        println!("  join (all runs): {}", join_stats.snapshot());
     }
     if let Some(path) = trace_out {
         write_trace_out(&path);

@@ -17,9 +17,6 @@
 //! differential report that attributes its lost `x <= 100` bound (the
 //! workspace's `tests/blame.rs` checks it names the loop's widening
 //! site).
-//!
-//! `--obs-report` dumps the global `cai-obs` counter registry after the
-//! selected items have run. Purely additive: it changes no result.
 
 use cai_bench::{args::write_trace_out, fig1_family, thm6_family, Args, ConjGen, FIG1, FIG4, FIG8};
 use cai_core::reduce::{EncodeMode, UnaryEncoder};
@@ -41,7 +38,6 @@ fn main() {
     if trace_out.is_some() {
         cai_obs::trace::set_enabled(true);
     }
-    let obs_report = args.flag("--obs-report");
     let deadline_ms = args.opt_value::<u64>("--deadline-ms");
     let blame_flag = args.flag("--blame");
     let ran_mode = deadline_ms.is_some() || blame_flag;
@@ -89,10 +85,6 @@ fn main() {
         if want("compare") {
             compare();
         }
-    }
-    if obs_report {
-        println!("\nobs report:");
-        println!("{}", cai_obs::global().snapshot());
     }
     if let Some(path) = trace_out {
         write_trace_out(&path);
@@ -424,7 +416,6 @@ fn complexity() {
             n, t_jl, t_ju, t_jc, t_ql, t_qc
         );
     }
-    println!("(criterion benches: cargo bench -p cai-bench)");
 }
 
 fn median_us(mut f: impl FnMut()) -> f64 {

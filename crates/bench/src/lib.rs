@@ -1,5 +1,5 @@
 //! Workload generators and the paper's example programs, shared by the
-//! benchmarks, the `paper_eval` / `driver_eval` report binaries and the
+//! `paper_eval` / `driver_eval` report binaries, perfbench and the
 //! workspace's integration tests.
 
 pub mod args;
@@ -86,7 +86,7 @@ pub fn thm6_family(k: usize) -> String {
 }
 
 /// A Figure 1-shaped program scaled to `k` groups of four variables, used
-/// by the product-comparison benchmarks. Every generated assertion is
+/// by the product comparisons. Every generated assertion is
 /// valid; group `i` exercises the same four phenomena as Figure 1.
 pub fn fig1_family(k: usize) -> String {
     let mut init = String::new();
@@ -218,30 +218,6 @@ impl PolicyFuel {
             pool: (cost_big * total).div_ceil(weight(big)) + jobs,
         }
     }
-}
-
-/// Minimal timing harness for the `harness = false` benchmarks (the
-/// workspace builds offline with no external crates, so no Criterion):
-/// runs `f` through a few warm-up rounds, then `samples` timed rounds, and
-/// prints the median per-call time in nanoseconds.
-pub fn time_case<T>(group: &str, name: &str, samples: usize, mut f: impl FnMut() -> T) {
-    const WARMUP: usize = 3;
-    for _ in 0..WARMUP {
-        std::hint::black_box(f());
-    }
-    let mut times: Vec<u128> = (0..samples.max(1))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    let median = times[times.len() / 2];
-    println!(
-        "{group}/{name}: median {median} ns ({} samples)",
-        times.len()
-    );
 }
 
 /// Deterministic random mixed terms over `w0..w{n_vars-1}`.

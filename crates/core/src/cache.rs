@@ -123,12 +123,6 @@ impl CacheStats {
             }
         }
     }
-
-    /// Merge current values into an observability [`cai_obs::Snapshot`]
-    /// under `"{prefix}/{counter}"` keys.
-    pub fn export_into(&self, snap: &mut cai_obs::Snapshot, prefix: &str) {
-        self.fam.export_into(snap, prefix);
-    }
 }
 
 impl fmt::Display for CacheStats {

@@ -36,9 +36,10 @@
 //!   variables that occur in neither component presentation (no
 //!   `Alternate` definition can mention them, so dropping them is exact).
 //!
-//! [`JoinStats`] exposes counters for all of the above; set `CAI_TRACE`
-//! (or enable the `cai-obs` tracer programmatically) for per-phase span
-//! timings, or run `perfbench` for an end-to-end per-layer report.
+//! [`JoinStats`] exposes counters for all of the above; enable the
+//! `cai-obs` tracer (`cai_obs::trace::set_enabled`, or `--trace-out` on
+//! the report binaries) for per-phase span timings, or run `perfbench`
+//! for an end-to-end per-layer report.
 
 use crate::budget::Budget;
 use crate::cache::{cs, Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo};
@@ -120,13 +121,6 @@ impl JoinStats {
 
     fn add(&self, idx: usize, n: u64) {
         self.fam.add(idx, n);
-    }
-
-    /// Merge current values into an observability [`cai_obs::Snapshot`]
-    /// under `"{prefix}/{counter}"` keys — how `--obs-report` folds the
-    /// join pipeline into the process-wide table.
-    pub fn export_into(&self, snap: &mut cai_obs::Snapshot, prefix: &str) {
-        self.fam.export_into(snap, prefix);
     }
 
     /// A point-in-time copy of every counter.
@@ -918,7 +912,6 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         let mut v2 = v1.clone();
         let mut defs: Vec<(Var, Term)> = Vec::new();
         loop {
-            cai_obs::counter!("fuel/core.qsat").add(1 + v2.len() as u64);
             if !self.budget.tick(1 + v2.len() as u64) {
                 // Sound early exit: the variables still in V2 are simply
                 // quantified component-wise instead of being substituted.
@@ -973,7 +966,6 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         if defs.is_empty() {
             return c;
         }
-        cai_obs::counter!("fuel/core.subst").add(1 + c.len() as u64 + defs.len() as u64);
         if !self.budget.tick(1 + c.len() as u64 + defs.len() as u64) {
             self.budget.degrade(
                 "logical-product/subst-defs",
@@ -1050,7 +1042,6 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         // class-pair set, not the raw |Vℓ|·|Vr| square), and degrade to
         // the syntactic join if the budget cannot afford it.
         let npairs = (lreps.len() * rreps.len()) as u64;
-        cai_obs::counter!("fuel/core.join-pairs").add(npairs);
         if !self.budget.tick(npairs) {
             self.stats.add(jc::FALLBACKS, 1);
             self.budget.degrade("logical-product/join", {

@@ -99,11 +99,6 @@ impl BudgetPolicy {
         }
     }
 
-    /// Whether this is an adaptive (non-flat) policy.
-    pub fn is_adaptive(&self) -> bool {
-        !matches!(self, BudgetPolicy::Flat)
-    }
-
     /// Maximum narrowing rounds after a widened loop fixpoint (0 = the
     /// pass never runs, the flat contract).
     pub fn narrow_rounds(&self) -> u32 {
@@ -191,7 +186,6 @@ mod tests {
             statements: 10,
             ..SizeMeasures::default()
         };
-        assert!(!p.is_adaptive());
         assert_eq!(p.narrow_rounds(), 0);
         assert_eq!(p.loop_fuel(&body), None);
         assert_eq!(p.narrow_fuel(&body), 0);

@@ -80,7 +80,6 @@ where
                 rounds,
             };
         }
-        cai_obs::counter!("fuel/core.saturate").add(2);
         if !budget.tick(2) {
             budget.degrade("no_saturate", "stopped the equality exchange early");
             return Saturated {
@@ -93,7 +92,6 @@ where
             };
         }
         rounds += 1;
-        cai_obs::counter!("core/saturate/rounds").incr();
         let p1 = d1.var_equalities(&e1);
         let p2 = d2.var_equalities(&e2);
         let mut changed = joint.merge(&p1);
@@ -112,12 +110,10 @@ where
         // so re-asserting known equalities is harmless).
         for (x, y) in joint.pairs() {
             if !p1.same(x, y) {
-                cai_obs::counter!("fuel/core.saturate").incr();
                 budget.tick(1);
                 e1 = d1.meet_atom(&e1, &Atom::var_eq(x, y));
             }
             if !p2.same(x, y) {
-                cai_obs::counter!("fuel/core.saturate").incr();
                 budget.tick(1);
                 e2 = d2.meet_atom(&e2, &Atom::var_eq(x, y));
             }

@@ -15,7 +15,7 @@ use cai_core::{
     LossKind, SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
-use cai_obs::{provenance, FamilySnapshot};
+use cai_obs::provenance;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
@@ -623,7 +623,6 @@ where
     /// Entries for procedures no longer in the module are pruned.
     pub fn analyze_with_cache(&self, module: &Module, cache: &mut SummaryCache) -> ModuleAnalysis {
         let _span = cai_obs::span!("driver/analyze-module");
-        let cache_before = cache.stats.snapshot();
         // The driver's own events of this run (rejected cache entries,
         // skipped summary stores) go on a recorder of their own: the
         // driver's budget outlives its runs, and a run reports only what
@@ -719,9 +718,6 @@ where
                 self.cfg.policy.job_weight(&size, incidents)
             })
             .collect();
-        if self.cfg.policy.is_adaptive() {
-            cai_obs::counter!("driver/policy/weighted-jobs").add(todo.len() as u64);
-        }
         let cfg = SolveCfg {
             widen_delay: self.cfg.widen_delay,
             max_iterations: self.cfg.max_iterations,
@@ -837,20 +833,13 @@ where
             .iter()
             .filter_map(|p| reports.remove(&p.name))
             .collect();
-        let ctx = ctx_stats.snapshot();
-        let supervision = sup_stats.snapshot();
-        export_run_counters(
-            &cache.stats.snapshot().diff(&cache_before),
-            &ctx,
-            &supervision,
-        );
         ModuleAnalysis {
             reports: ordered,
             reused,
             recomputed,
             degradation,
-            ctx,
-            supervision,
+            ctx: ctx_stats.snapshot(),
+            supervision: sup_stats.snapshot(),
         }
     }
 
@@ -986,38 +975,45 @@ where
                 let factory = &self.factory;
                 let ctx_stats = ctx_stats.clone();
                 let sup_stats = sup_stats.clone();
-                s.spawn(move || loop {
-                    let job = {
-                        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if let Some(job) = q.pop_front() {
-                                break job;
+                s.spawn(move || {
+                    'work: loop {
+                        let job = {
+                            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+                            loop {
+                                if let Some(job) = q.pop_front() {
+                                    break job;
+                                }
+                                if done.load(Ordering::Acquire) {
+                                    break 'work;
+                                }
+                                q = ready.wait(q).unwrap_or_else(|e| e.into_inner());
                             }
-                            if done.load(Ordering::Acquire) {
-                                return;
-                            }
-                            q = ready.wait(q).unwrap_or_else(|e| e.into_inner());
+                        };
+                        // run_job never unwinds (its crash path quarantines
+                        // instead), so the result send below always happens
+                        // and the main thread's `remaining` count never
+                        // deadlocks on a lost worker.
+                        let (out, contexts) = run_job(
+                            factory,
+                            module,
+                            &job.members,
+                            &job.external,
+                            seed,
+                            job.recursive,
+                            cfg,
+                            &job.slice,
+                            &ctx_stats,
+                            &sup_stats,
+                        );
+                        if tx.send((job.scc, out, contexts)).is_err() {
+                            break;
                         }
-                    };
-                    // run_job never unwinds (its crash path quarantines
-                    // instead), so the result send below always happens
-                    // and the main thread's `remaining` count never
-                    // deadlocks on a lost worker.
-                    let (out, contexts) = run_job(
-                        factory,
-                        module,
-                        &job.members,
-                        &job.external,
-                        seed,
-                        job.recursive,
-                        cfg,
-                        &job.slice,
-                        &ctx_stats,
-                        &sup_stats,
-                    );
-                    if tx.send((job.scc, out, contexts)).is_err() {
-                        return;
                     }
+                    // `thread::scope` returns before this thread's
+                    // thread-locals are destroyed, so hand the trace ring
+                    // to the sink now: a drain right after the analysis
+                    // must see every worker's events.
+                    cai_obs::trace::flush();
                 });
             }
             drop(result_tx);
@@ -1430,7 +1426,6 @@ where
     let mut round = 0usize;
     loop {
         round += 1;
-        cai_obs::counter!("driver/jacobi/rounds").incr();
         // Losses recorded at this level (e.g. the round-cap degrade
         // below) carry the logical Jacobi round.
         provenance::set_round(round as u64);
@@ -1507,29 +1502,6 @@ where
         });
     }
     (out, take_contexts(ctx_resolver))
-}
-
-/// Mirrors one run's summary-cache traffic (the counter family's
-/// before/after [`diff`](FamilySnapshot::diff), since the cache counts
-/// across runs) and the ctx/sup facade snapshots into the global
-/// `cai-obs` registry, so an `--obs-report` sees the driver layer
-/// without threading the registry through the schedulers.
-fn export_run_counters(cache: &FamilySnapshot, ctx: &CtxStatsSnapshot, sup: &SupStatsSnapshot) {
-    let registry = cai_obs::global();
-    for (name, n) in cache.pairs() {
-        registry
-            .counter(&format!("driver/summary-cache/{name}"))
-            .add(n);
-    }
-    cai_obs::counter!("driver/context/contexts-created").add(ctx.contexts_created);
-    cai_obs::counter!("driver/context/memo-hits").add(ctx.memo_hits);
-    cai_obs::counter!("driver/context/cap-widenings").add(ctx.cap_widenings);
-    cai_obs::counter!("driver/context/top-fallbacks").add(ctx.top_fallbacks);
-    cai_obs::counter!("driver/supervision/panics-caught").add(sup.panics_caught);
-    cai_obs::counter!("driver/supervision/retries").add(sup.retries);
-    cai_obs::counter!("driver/supervision/recovered").add(sup.recovered);
-    cai_obs::counter!("driver/supervision/stalls").add(sup.stalls);
-    cai_obs::counter!("driver/supervision/quarantined").add(sup.quarantined);
 }
 
 fn take_contexts<D: AbstractDomain>(

@@ -420,7 +420,6 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
     ) -> D::Elem {
         let d = self.domain();
         let policy = &self.analyzer.cfg.policy;
-        cai_obs::counter!("interp/narrow/loops-attempted").incr();
         let _span = cai_obs::span!("interp/narrow-pass");
         let slice = self.budget.recovery_slice(policy.narrow_fuel(body_size));
         let outer_budget = std::mem::replace(&mut self.budget, slice.clone());
@@ -435,7 +434,6 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 narrow_failed("stopped the recovery pass early");
                 break;
             }
-            cai_obs::counter!("interp/narrow/rounds").incr();
             self.stats.narrow_rounds += 1;
             // One descending iterate: y = entry ⊔ F(cur ∧ c).
             self.next_loop_index = 0;
@@ -472,7 +470,6 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
         }
         self.budget = outer_budget;
         if adopted {
-            cai_obs::counter!("interp/narrow/loops-recovered").incr();
             self.stats.narrow_recoveries += 1;
         }
         cur
@@ -484,7 +481,6 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
         // statement sequence is finite, and pressing on keeps the
         // assertion record complete — the governed loops below (and the
         // budgeted domain operations) are where exhaustion cuts work.
-        cai_obs::counter!("fuel/interp.transfer").incr();
         self.budget.tick(1);
         match stmt {
             Stmt::Assign(x, rhs) => {
@@ -564,25 +560,21 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                         // pass below still terminates.
                         self.budget
                             .degrade("analyzer/while", "forced the loop invariant to top");
-                        cai_obs::counter!("interp/fixpoint/budget-forced-top").incr();
                         inv = d.top();
                         self.diverged = true;
                         forced_top = true;
                         break;
                     }
                     iterations += 1;
-                    cai_obs::counter!("interp/fixpoint/iterations").incr();
                     provenance::set_round(iterations as u64);
                     self.next_loop_index = 0;
                     let enter = self.assume_cond(inv.clone(), c, true);
                     let after = self.exec_seq(body, enter, false);
                     let next = if iterations <= self.analyzer.cfg.widen_delay {
                         self.stats.joins += 1;
-                        cai_obs::counter!("interp/fixpoint/joins").incr();
                         d.join(&inv, &after)
                     } else {
                         self.stats.widens += 1;
-                        cai_obs::counter!("interp/fixpoint/widenings").incr();
                         self.budget.record(Event::new(
                             LossKind::Widen,
                             "analyzer/while",
@@ -612,8 +604,6 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 }
                 drop(_span);
                 self.loop_iterations.push(iterations);
-                cai_obs::histogram!("interp/fixpoint/iterations-per-loop")
-                    .observe(iterations as u64);
                 if self.analyzer.cfg.policy.narrow_rounds() > 0 && (widened || forced_top) {
                     inv = self.narrow_loop(c, body, &entry, inv, &body_size);
                 }

@@ -36,14 +36,6 @@ fn narrowing_recovers_the_widened_upper_bound() {
     assert_eq!(flat_got, [true, true, false], "flat loses the upper bound");
     assert_eq!(flat.stats.narrow_rounds, 0, "flat never narrows");
 
-    // The registry is process-global and its counters only grow, so a
-    // test running in parallel can add to this one but never hide it.
-    let recovered = || {
-        cai_obs::global()
-            .snapshot()
-            .counter("interp/narrow/loops-recovered")
-    };
-    let before = recovered();
     let adaptive = Analyzer::new(&d)
         .with_policy(BudgetPolicy::adaptive())
         .run(&p);
@@ -52,10 +44,6 @@ fn narrowing_recovers_the_widened_upper_bound() {
     assert_eq!(got, [true, true, true], "narrowing recovers x <= 100");
     assert!(adaptive.stats.narrow_rounds > 0, "narrowing actually ran");
     assert_eq!(adaptive.stats.narrow_recoveries, 1, "one loop recovered");
-    assert!(
-        recovered() > before,
-        "the recovery must show in the interp/narrow counters"
-    );
 }
 
 #[test]

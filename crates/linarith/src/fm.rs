@@ -114,8 +114,6 @@ pub fn eliminate(rows: Vec<Ineq>, v: Var) -> Vec<Ineq> {
             neg.push(r);
         }
     }
-    cai_obs::counter!("linarith/fm/eliminations").incr();
-    cai_obs::counter!("linarith/fm/row-combinations").add((pos.len() * neg.len()) as u64);
     for p in &pos {
         let a = p.expr.coeff(v);
         let pn = p.expr.scale(&a.recip());
@@ -286,7 +284,6 @@ pub fn project_budgeted(mut rows: Vec<Ineq>, vars: &VarSet, budget: &Budget) -> 
     substitute_equalities(&mut rows, &mut remaining);
     rows = simplify(rows)?;
     while !remaining.is_empty() {
-        cai_obs::counter!("fuel/linarith.project").add(1 + rows.len() as u64);
         if !budget.tick(1 + rows.len() as u64) {
             budget.degrade(
                 "fm/project",

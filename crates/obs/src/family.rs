@@ -16,8 +16,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::metrics::Snapshot;
-
 /// A fixed-name block of atomic counters with cheap `Arc`-shared handles.
 ///
 /// Cloning shares the underlying cells; two clones observe each other's
@@ -34,24 +32,6 @@ impl CounterFamily {
     pub fn new(names: &'static [&'static str]) -> CounterFamily {
         let cells: Arc<[AtomicU64]> = (0..names.len()).map(|_| AtomicU64::new(0)).collect();
         CounterFamily { names, cells }
-    }
-
-    /// Number of counters in the family.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the family has no counters.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Counter names, in cell order.
-    #[must_use]
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
     }
 
     /// Add `n` to counter `idx`. Out-of-range indices are ignored.
@@ -101,14 +81,6 @@ impl CounterFamily {
             values: self.values(),
         }
     }
-
-    /// Merge current values into a metrics [`Snapshot`] under
-    /// `"{prefix}/{name}"` keys, adding to any existing counter entries.
-    pub fn export_into(&self, snap: &mut Snapshot, prefix: &str) {
-        for (name, value) in self.names.iter().zip(self.values()) {
-            snap.add_counter(&format!("{prefix}/{name}"), value);
-        }
-    }
 }
 
 /// Point-in-time values of a [`CounterFamily`].
@@ -128,37 +100,6 @@ impl FamilySnapshot {
     /// `(name, value)` pairs in cell order.
     pub fn pairs(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.names.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// `num / (num + den)` over the counters at the two indices, as a
-    /// fraction in `[0, 1]` — the conventional hit-rate shape (`0.0` when
-    /// both are zero). Used by the cache stats facades.
-    #[must_use]
-    pub fn ratio(&self, num: usize, den: usize) -> f64 {
-        let n = self.get(num);
-        let total = n + self.get(den);
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            n as f64 / total as f64
-        }
-    }
-
-    /// Field-wise saturating subtraction (`self - baseline`).
-    #[must_use]
-    pub fn diff(&self, baseline: &FamilySnapshot) -> FamilySnapshot {
-        let values = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v.saturating_sub(baseline.get(i)))
-            .collect();
-        FamilySnapshot {
-            names: self.names,
-            values,
-        }
     }
 }
 
@@ -231,10 +172,11 @@ mod tests {
         fam.add(0, 6);
         fam.bump(2);
         let after = fam.snapshot();
-        let delta = after.diff(&before);
-        assert_eq!(delta.get(0), 6);
-        assert_eq!(delta.get(1), 0);
-        assert_eq!(delta.get(2), 1);
-        assert_eq!(delta.to_string(), "alpha=6 beta=0 gamma=1");
+        // A snapshot is a copy: later bumps show in a new one only.
+        assert_ne!(before, after);
+        assert_eq!(before.to_string(), "alpha=4 beta=0 gamma=0");
+        assert_eq!(after.to_string(), "alpha=10 beta=0 gamma=1");
+        assert_eq!(after.get(2), 1);
+        assert_eq!(after.get(99), 0);
     }
 }

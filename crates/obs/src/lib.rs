@@ -11,15 +11,16 @@
 //! > tracer off, on, or on with a different thread count produce bit-identical
 //! > summaries (pinned by `tests/obs.rs` at the workspace root).
 //!
-//! Three pieces:
+//! There is no process-wide counter registry: every count belongs to the
+//! run that made it. Fuel and events are on the run's budget
+//! (`cai_core::DegradationReport`); operation counts are on the run's
+//! stats (`JoinStats`, `CacheStats`, `OpStats`, `CtxStats`, `SupStats`).
 //!
-//! * [`metrics`] — a process-wide registry of named counters / gauges /
-//!   histograms with cheap `Arc`-shared handles and subtractable
-//!   [`Snapshot`]s. Hot paths cache a handle in a `OnceLock` via the
-//!   [`counter!`] macro, so a bump is one atomic add.
+//! The pieces:
+//!
 //! * [`family`] — [`CounterFamily`], a fixed-name block of atomic counters.
-//!   This is the shared primitive under `JoinStats` / `CtxStats` / `SupStats`,
-//!   which used to be three copy-pasted `bump`/`snapshot`/`absorb` structs.
+//!   This is the shared primitive under the `JoinStats` / `CacheStats` /
+//!   `CtxStats` / `SupStats` facades.
 //! * [`trace`] — a span tracer ([`span!`] / [`spanned!`] / [`instant!`])
 //!   writing to per-thread ring buffers (no global mutex on the hot path) and
 //!   exporting Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
@@ -30,6 +31,7 @@
 //!   cache corruption) under its procedure/loop scope, and the ranked,
 //!   deterministic [`BlameTable`] fold over a run's events. The events
 //!   themselves are recorded on the run's budget (`cai_core::Budget`).
+//! * [`metrics`] — JSON escaping for the blame and trace exports.
 //!
 //! [`clock::now`] wraps `Instant::now` so governed components (budget
 //! deadlines, the supervisor watchdog) read the clock through one audited
@@ -42,9 +44,6 @@ pub mod provenance;
 pub mod trace;
 
 pub use family::{write_kv, CounterFamily, FamilySnapshot};
-pub use metrics::{
-    escape_metric_name, global, Counter, Gauge, Histogram, HistogramSummary, Metrics, Snapshot,
-    Value,
-};
+pub use metrics::escape_metric_name;
 pub use provenance::{BlameEntry, BlameTable, Event, LossKind};
 pub use trace::{EventKind, SpanGuard, Trace, TraceEvent};

@@ -7,33 +7,25 @@
 //!    when the tracer is off.
 //! 2. **No global mutex on the hot path.** Each thread owns a ring buffer in
 //!    TLS; events are pushed without taking any lock. Rings are flushed into
-//!    a global sink when the thread exits (TLS drop) or when the caller
-//!    [`drain`]s. Bounded capacity drops the *oldest* events, so a profile
-//!    always keeps the newest window.
+//!    a global sink when the owner calls [`flush`] or [`drain`], or when the
+//!    thread's TLS is destroyed. Bounded capacity drops the *oldest* events,
+//!    so a profile always keeps the newest window.
 //! 3. **Timestamps stay in the export layer.** Spans capture `Instant`s, but
 //!    nothing ever reads them back into analysis decisions; they are turned
 //!    into microseconds only when an event is recorded, and surface only in
 //!    [`Trace`] exports.
-//!
-//! The legacy `CAI_TRACE` env var still works: it enables the tracer *with a
-//! stderr echo*, reproducing the old `trace_phase!` per-phase timing lines.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::clock;
 use crate::metrics::escape_json;
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-const STATE_ON_ECHO: u8 = 3;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
@@ -44,44 +36,15 @@ const MAX_SINK_EVENTS: usize = 1 << 20;
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-/// Is the tracer on?
-///
-/// First call initialises from the `CAI_TRACE` env var (set ⇒ enabled with a
-/// stderr echo, preserving the legacy `trace_phase!` behaviour); subsequent
-/// calls are a single relaxed load.
+/// Is the tracer on? One relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_UNINIT => init_from_env(),
-        s => s >= STATE_ON,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let state = if std::env::var_os("CAI_TRACE").is_some() {
-        STATE_ON_ECHO
-    } else {
-        STATE_OFF
-    };
-    let _ = STATE.compare_exchange(STATE_UNINIT, state, Ordering::Relaxed, Ordering::Relaxed);
-    STATE.load(Ordering::Relaxed) >= STATE_ON
-}
-
-/// Turn the tracer on or off, overriding the `CAI_TRACE` default.
+/// Turn the tracer on or off (off by default).
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
-/// Turn the tracer on *and* echo every completed span to stderr (the legacy
-/// `CAI_TRACE` behaviour).
-pub fn enable_with_stderr_echo() {
-    STATE.store(STATE_ON_ECHO, Ordering::Relaxed);
-}
-
-#[inline]
-fn echo() -> bool {
-    STATE.load(Ordering::Relaxed) == STATE_ON_ECHO
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Set the capacity of rings created by threads that have not yet traced.
@@ -221,9 +184,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let end = clock::now();
         let dur = end.duration_since(self.start);
-        if echo() {
-            eprintln!("[cai-trace] {}: {:?}", self.name, dur);
-        }
         let ts_us =
             u64::try_from(self.start.duration_since(epoch()).as_micros()).unwrap_or(u64::MAX);
         let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
@@ -245,9 +205,6 @@ impl Drop for SpanGuard {
 /// prefer the [`instant!`](crate::instant) macro.
 pub fn record_instant(name: String) {
     let ts_us = u64::try_from(clock::now().duration_since(epoch()).as_micros()).unwrap_or(u64::MAX);
-    if echo() {
-        eprintln!("[cai-trace] {name}");
-    }
     with_ring(|ring| {
         let tid = ring.tid;
         ring.push(TraceEvent {
@@ -297,18 +254,27 @@ macro_rules! instant {
     };
 }
 
-/// Everything collected so far: the caller's ring plus every ring flushed by
-/// an exited thread.
-///
-/// Rings owned by *other live* threads are not visible until those threads
-/// exit; in this codebase worker threads are scoped, so a drain after
-/// analysis sees all of them.
-pub fn drain() -> Trace {
-    RING.with(|slot| {
+/// Moves the calling thread's buffered events into the global sink, where
+/// the next [`drain`] on any thread finds them. A thread that has not
+/// traced has no ring, and this creates none.
+pub fn flush() {
+    let _ = RING.try_with(|slot| {
         if let Some(ring) = slot.borrow_mut().as_mut() {
             flush_ring(&mut ring.0);
         }
     });
+}
+
+/// Everything collected so far: the caller's ring plus every ring already
+/// in the sink.
+///
+/// Another thread's ring reaches the sink only when that thread calls
+/// [`flush`] or its thread-locals are destroyed. `JoinHandle::join`
+/// waits for the latter, but `std::thread::scope` does not, so a scoped
+/// thread that traces must [`flush`] before it returns; the driver's
+/// workers do.
+pub fn drain() -> Trace {
+    flush();
     let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let mut events = std::mem::take(&mut sink.events);
     let dropped = std::mem::replace(&mut sink.dropped, 0);

@@ -166,11 +166,9 @@ impl EGraph {
                 self.rank[winner] += 1;
             }
             self.parent[loser] = winner;
-            cai_obs::counter!("uf/egraph/merges").incr();
             // Re-canonicalize every user of the absorbed class; congruent
             // pairs feed back into the worklist.
             let moved = std::mem::take(&mut self.uses[loser]);
-            cai_obs::counter!("uf/egraph/rebuilds").add(moved.len() as u64);
             for u in &moved {
                 // `uses` only ever receives app nodes (see `add_app`), so a
                 // non-app entry has no signature and nothing to re-canon.
@@ -180,7 +178,6 @@ impl EGraph {
                 match self.memo.get(&sig) {
                     Some(&v) => {
                         if self.find(v) != self.find(*u) {
-                            cai_obs::counter!("uf/egraph/congruence-merges").incr();
                             work.push((*u, v));
                         }
                     }
