@@ -78,7 +78,7 @@ test -s "$obs_trace" || { echo "--trace-out wrote no trace"; exit 1; }
 # event-log drop count must be visible (an explicit zero when nothing
 # was dropped), so silent event loss is ruled out by inspection.
 for line in "  fuel_spent=" "dropped_events=" "  ctx: " "  supervision: " \
-    "  summary cache (" "  join (all runs): "; do
+    "  summary cache (cold, warm, edit): reused=" "  join (all runs): "; do
     grep -qF -- "$line" "$obs_log" || {
         echo "obs report is missing '$line'"; exit 1; }
 done

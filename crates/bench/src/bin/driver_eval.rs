@@ -33,7 +33,7 @@ use cai_bench::{
     args::{write_blame_out, write_trace_out},
     batch_module, Args,
 };
-use cai_core::{Budget, Cache, JoinStats, LogicalProduct};
+use cai_core::{Budget, JoinStats, LogicalProduct};
 use cai_driver::{Driver, ModuleAnalysis, SummaryCache};
 use cai_linarith::AffineEq;
 use cai_uf::UfDomain;
@@ -216,9 +216,14 @@ fn main() {
         for ev in &d.events {
             println!("    {ev}");
         }
-        println!("  ctx: {}", inc.ctx);
-        println!("  supervision: {}", inc.supervision);
-        println!("  summary cache (cold, warm, edit): {}", cache.stats());
+        println!("  ctx: {:?}", inc.ctx);
+        println!("  supervision: {:?}", inc.supervision);
+        println!(
+            "  summary cache (cold, warm, edit): reused={} recomputed={} len={}",
+            cold.reused + warm.reused + inc.reused,
+            cold.recomputed + warm.recomputed + inc.recomputed,
+            cache.len()
+        );
         println!("  join (all runs): {}", join_stats.snapshot());
     }
     if let Some(path) = trace_out {

@@ -40,8 +40,7 @@ mod saturate;
 
 pub use budget::{Budget, CaiError, DegradationReport};
 pub use cache::{
-    Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo, DEFAULT_SUMMARY_CACHE_CAPACITY,
-    DEFAULT_TERM_MEMO_CAPACITY,
+    CacheConfig, TermMemo, DEFAULT_SUMMARY_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY,
 };
 pub use cai_obs::{BlameTable, Event, LossKind};
 pub use chaos::{ChaosConfig, ChaosDomain};

@@ -42,11 +42,11 @@
 //! for an end-to-end per-layer report.
 
 use crate::budget::Budget;
-use crate::cache::{cs, Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo};
+use crate::cache::{CacheConfig, TermMemo};
 use crate::domain::{combination_precision, AbstractDomain, Precision, TheoryProps};
 use crate::partition::Partition;
 use crate::saturate::{no_saturate_budgeted, Saturated};
-use cai_obs::{CounterFamily, Event, LossKind};
+use cai_obs::{Event, LossKind};
 use cai_term::{
     fingerprint, purify, purify_memoized, Atom, AtomSide, Conj, Purified, Purifier, PurifyMemo,
     Sig, Term, Var, VarSet,
@@ -55,62 +55,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// [`JoinStats`] counter names, in cell order (indices in [`jc`]).
-const JOIN_COUNTERS: &[&str] = &[
-    "cache_hits",
-    "cache_misses",
-    "cache_skips",
-    "cache_evictions",
-    "pairs_considered",
-    "pairs_generated",
-    "pairs_pruned",
-    "saturation_rounds",
-    "qsat_rounds",
-    "defs_found",
-    "defs_rejected",
-    "joins",
-    "widens",
-    "exists_ops",
-    "fallbacks",
-    "cache_partial_hits",
-];
-
-/// Cell indices into [`JOIN_COUNTERS`].
-mod jc {
-    pub const CACHE_HITS: usize = 0;
-    pub const CACHE_MISSES: usize = 1;
-    pub const CACHE_SKIPS: usize = 2;
-    pub const CACHE_EVICTIONS: usize = 3;
-    pub const PAIRS_CONSIDERED: usize = 4;
-    pub const PAIRS_GENERATED: usize = 5;
-    pub const PAIRS_PRUNED: usize = 6;
-    pub const SATURATION_ROUNDS: usize = 7;
-    pub const QSAT_ROUNDS: usize = 8;
-    pub const DEFS_FOUND: usize = 9;
-    pub const DEFS_REJECTED: usize = 10;
-    pub const JOINS: usize = 11;
-    pub const WIDENS: usize = 12;
-    pub const EXISTS_OPS: usize = 13;
-    pub const FALLBACKS: usize = 14;
-    pub const CACHE_PARTIAL_HITS: usize = 15;
-}
-
 /// Shared observability counters for the logical product's join and
-/// quantification pipelines — a thin facade over a
-/// [`cai_obs::CounterFamily`]. Cloning shares the underlying counters, so
-/// one `JoinStats` can aggregate over many products (e.g. every worker of
-/// a parallel driver run).
-#[derive(Clone, Debug)]
+/// quantification pipelines. Cloning shares the counts, so one
+/// `JoinStats` can aggregate over many products (e.g. every worker of a
+/// parallel driver run).
+#[derive(Clone, Debug, Default)]
 pub struct JoinStats {
-    fam: CounterFamily,
-}
-
-impl Default for JoinStats {
-    fn default() -> JoinStats {
-        JoinStats {
-            fam: CounterFamily::new(JOIN_COUNTERS),
-        }
-    }
+    counts: Arc<Mutex<JoinStatsSnapshot>>,
 }
 
 impl JoinStats {
@@ -119,31 +70,13 @@ impl JoinStats {
         JoinStats::default()
     }
 
-    fn add(&self, idx: usize, n: u64) {
-        self.fam.add(idx, n);
+    fn count(&self, bump: impl FnOnce(&mut JoinStatsSnapshot)) {
+        bump(&mut self.counts.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> JoinStatsSnapshot {
-        let get = |idx: usize| self.fam.get(idx);
-        JoinStatsSnapshot {
-            cache_hits: get(jc::CACHE_HITS),
-            cache_misses: get(jc::CACHE_MISSES),
-            cache_partial_hits: get(jc::CACHE_PARTIAL_HITS),
-            cache_skips: get(jc::CACHE_SKIPS),
-            cache_evictions: get(jc::CACHE_EVICTIONS),
-            pairs_considered: get(jc::PAIRS_CONSIDERED),
-            pairs_generated: get(jc::PAIRS_GENERATED),
-            pairs_pruned: get(jc::PAIRS_PRUNED),
-            saturation_rounds: get(jc::SATURATION_ROUNDS),
-            qsat_rounds: get(jc::QSAT_ROUNDS),
-            defs_found: get(jc::DEFS_FOUND),
-            defs_rejected: get(jc::DEFS_REJECTED),
-            joins: get(jc::JOINS),
-            widens: get(jc::WIDENS),
-            exists_ops: get(jc::EXISTS_OPS),
-            fallbacks: get(jc::FALLBACKS),
-        }
+        *self.counts.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -267,9 +200,6 @@ struct CacheShard<E1, E2> {
     /// by an actual set-inclusion check before use.
     by_atoms: HashMap<u64, u64>,
     capacity: usize,
-    /// Fingerprint of the [`CacheConfig`] this cache was built with —
-    /// [`SplitCache::reconfigure`] invalidates everything when it changes.
-    config_fp: u64,
 }
 
 /// The result of probing the cache for a conjunction.
@@ -311,9 +241,8 @@ fn atom_set_fp(atoms: &BTreeSet<&Atom>) -> u64 {
 /// so LRU bookkeeping is not worth its overhead).
 pub struct SplitCache<E1, E2> {
     inner: Arc<Mutex<CacheShard<E1, E2>>>,
-    /// The per-alien-term memo, sharing this cache's [`CacheStats`].
+    /// The per-alien-term memo beneath the whole-conjunction table.
     term_memo: Arc<TermMemo>,
-    stats: CacheStats,
 }
 
 impl<E1, E2> Clone for SplitCache<E1, E2> {
@@ -323,7 +252,6 @@ impl<E1, E2> Clone for SplitCache<E1, E2> {
         SplitCache {
             inner: Arc::clone(&self.inner),
             term_memo: Arc::clone(&self.term_memo),
-            stats: self.stats.clone(),
         }
     }
 }
@@ -353,19 +281,13 @@ impl<E1, E2> SplitCache<E1, E2> {
 
     /// A cache configured by `cfg` (a split capacity of 0 disables it).
     pub fn with_config(cfg: &CacheConfig) -> SplitCache<E1, E2> {
-        let stats = CacheStats::new();
         SplitCache {
             inner: Arc::new(Mutex::new(CacheShard {
                 map: HashMap::new(),
                 by_atoms: HashMap::new(),
                 capacity: cfg.split_capacity,
-                config_fp: cfg.fingerprint(),
             })),
-            term_memo: Arc::new(TermMemo::with_capacity_and_stats(
-                cfg.term_capacity,
-                stats.clone(),
-            )),
-            stats,
+            term_memo: Arc::new(TermMemo::with_capacity(cfg.term_capacity)),
         }
     }
 
@@ -391,42 +313,12 @@ impl<E1, E2> SplitCache<E1, E2> {
     /// The sub-structural payload capacity (0 means the per-term layer is
     /// disabled and no partial hits are attempted).
     pub fn term_capacity(&self) -> usize {
-        Cache::capacity(&*self.term_memo)
+        self.term_memo.capacity()
     }
 
     /// The per-alien-term memo beneath this cache.
     pub fn term_memo(&self) -> &TermMemo {
         &self.term_memo
-    }
-
-    /// This cache's shared counters (whole-conjunction *and* per-term —
-    /// the two layers deliberately share one [`CacheStats`]).
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Fingerprint of the [`CacheConfig`] this cache was built with.
-    pub fn config_fingerprint(&self) -> u64 {
-        self.lock().config_fp
-    }
-
-    /// Adopts `cfg`, invalidating every derived entry (whole-conjunction
-    /// splits, the subset index, and per-term payloads — the name map
-    /// persists, as names must) if and only if `cfg`'s fingerprint differs
-    /// from the one the cache was built with. The split-cache counterpart
-    /// of the driver's `config_fingerprint` invalidation.
-    pub fn reconfigure(&self, cfg: &CacheConfig) {
-        let mut shard = self.lock();
-        if shard.config_fp == cfg.fingerprint() {
-            return;
-        }
-        shard.map.clear();
-        shard.by_atoms.clear();
-        shard.capacity = cfg.split_capacity;
-        shard.config_fp = cfg.fingerprint();
-        drop(shard);
-        self.term_memo.set_capacity(cfg.term_capacity);
-        self.stats.bump(cs::INVALIDATIONS);
     }
 
     /// Drops every cached split and per-term payload (the per-term name
@@ -447,16 +339,12 @@ impl<E1, E2> SplitCache<E1, E2> {
 
 impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
     /// Looks up `key`, optionally probing the sub-structural index for a
-    /// subset base on a whole-conjunction miss. Counts hits, partial hits
-    /// and misses on [`SplitCache::stats`].
+    /// subset base on a whole-conjunction miss.
     fn probe(&self, fp: u64, key: &Conj, allow_partial: bool) -> SplitLookup<E1, E2> {
         let shard = self.lock();
         if let Some(entry) = shard.map.get(&fp) {
             if entry.key == *key {
-                let out = (entry.purified.clone(), entry.saturated.clone());
-                drop(shard);
-                self.stats.bump(cs::HITS);
-                return SplitLookup::Hit(out);
+                return SplitLookup::Hit((entry.purified.clone(), entry.saturated.clone()));
             }
         }
         if allow_partial {
@@ -479,36 +367,19 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
                 };
                 // Verify real set inclusion — the index is only a hint.
                 if entry.key.iter().all(|a| atoms.contains(a)) {
-                    let out = (entry.purified.clone(), entry.saturated.clone());
-                    drop(shard);
-                    self.stats.bump(cs::PARTIAL_HITS);
-                    return SplitLookup::Partial(out);
+                    return SplitLookup::Partial((entry.purified.clone(), entry.saturated.clone()));
                 }
             }
         }
-        drop(shard);
-        self.stats.bump(cs::MISSES);
         SplitLookup::Miss
     }
 
-    /// Stores a split computed for `key` unless it was `degraded`
-    /// (degradation-aware invalidation), maintaining the subset index.
-    /// Counts skips and evictions on [`SplitCache::stats`].
-    fn store_split(
-        &self,
-        fp: u64,
-        key: &Conj,
-        split: &Split<E1, E2>,
-        degraded: bool,
-    ) -> StoreOutcome {
-        if degraded {
-            self.stats.bump(cs::SKIPS);
-            return StoreOutcome::SkippedDegraded;
-        }
+    /// Stores a split computed for `key`, maintaining the subset index.
+    /// Returns whether the table was cleared to make room. The one
+    /// caller, `LogicalProduct::split`, never stores into a disabled
+    /// (capacity 0) cache or stores a degraded split.
+    fn store_split(&self, fp: u64, key: &Conj, split: &Split<E1, E2>) -> bool {
         let mut shard = self.lock();
-        if shard.capacity == 0 {
-            return StoreOutcome::Disabled;
-        }
         let mut evicted = false;
         if shard.map.len() >= shard.capacity && !shard.map.contains_key(&fp) {
             shard.map.clear();
@@ -525,63 +396,7 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
                 saturated: split.1.clone(),
             },
         );
-        drop(shard);
-        if evicted {
-            self.stats.bump(cs::EVICTIONS);
-            StoreOutcome::StoredEvicting
-        } else {
-            StoreOutcome::Stored
-        }
-    }
-}
-
-impl<E1: Clone, E2: Clone> Cache for SplitCache<E1, E2> {
-    type Key = Conj;
-    type Value = Split<E1, E2>;
-
-    fn lookup(&self, key: &Conj) -> Option<Split<E1, E2>> {
-        match self.probe(key.fingerprint(), key, false) {
-            SplitLookup::Hit(out) => Some(out),
-            _ => None,
-        }
-    }
-
-    fn store(&mut self, key: Conj, value: Split<E1, E2>, degraded: bool) -> StoreOutcome {
-        self.store_split(key.fingerprint(), &key, &value, degraded)
-    }
-
-    fn invalidate(&mut self, key: &Conj) -> bool {
-        let mut shard = self.lock();
-        let fp = key.fingerprint();
-        match shard.map.get(&fp) {
-            Some(entry) if entry.key == *key => {
-                let set_fp = atom_set_fp(&entry.key.iter().collect());
-                shard.by_atoms.remove(&set_fp);
-                shard.map.remove(&fp);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn clear(&mut self) {
-        SplitCache::clear(self);
-    }
-
-    fn len(&self) -> usize {
-        SplitCache::len(self)
-    }
-
-    fn capacity(&self) -> usize {
-        SplitCache::capacity(self)
-    }
-
-    fn stats(&self) -> &CacheStats {
-        SplitCache::stats(self)
-    }
-
-    fn checksum(&self) -> u64 {
-        crate::cache::fold_checksum(self.lock().map.values().map(|e| e.key.fingerprint()))
+        evicted
     }
 }
 
@@ -754,15 +569,15 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         let degrades_before = self.budget.degrade_count();
         let out = match self.cache.probe(fp, e, sub_structural) {
             SplitLookup::Hit(hit) => {
-                self.stats.add(jc::CACHE_HITS, 1);
+                self.stats.count(|c| c.cache_hits += 1);
                 return hit;
             }
             SplitLookup::Partial(base) => {
-                self.stats.add(jc::CACHE_PARTIAL_HITS, 1);
+                self.stats.count(|c| c.cache_partial_hits += 1);
                 cai_obs::spanned!("split/resume", self.split_resumed(e, base))
             }
             SplitLookup::Miss => {
-                self.stats.add(jc::CACHE_MISSES, 1);
+                self.stats.count(|c| c.cache_misses += 1);
                 self.split_fresh(e, sub_structural.then(|| self.cache.memo_dyn()))
             }
         };
@@ -771,20 +586,17 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         let degraded = out.1.degraded
             || self.budget.is_exhausted()
             || self.budget.degrade_count() != degrades_before;
-        match self.cache.store_split(fp, e, &out, degraded) {
-            StoreOutcome::SkippedDegraded => {
-                self.stats.add(jc::CACHE_SKIPS, 1);
-                // Later rounds must re-purify and re-saturate from
-                // scratch — the skipped store is where that
-                // recomputation was lost.
-                self.budget.record(Event::new(
-                    LossKind::CacheSkippedDegraded,
-                    "logical-product/split-cache",
-                    "degraded split not cached",
-                ));
-            }
-            StoreOutcome::StoredEvicting => self.stats.add(jc::CACHE_EVICTIONS, 1),
-            StoreOutcome::Stored | StoreOutcome::Disabled => {}
+        if degraded {
+            self.stats.count(|c| c.cache_skips += 1);
+            // Later rounds must re-purify and re-saturate from scratch —
+            // the skipped store is where that recomputation was lost.
+            self.budget.record(Event::new(
+                LossKind::CacheSkippedDegraded,
+                "logical-product/split-cache",
+                "degraded split not cached",
+            ));
+        } else if self.cache.store_split(fp, e, &out) {
+            self.stats.count(|c| c.cache_evictions += 1);
         }
         out
     }
@@ -805,7 +617,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         let e1 = self.d1.from_conj(&p.left);
         let e2 = self.d2.from_conj(&p.right);
         let s = no_saturate_budgeted(&self.d1, e1, &self.d2, e2, &self.budget);
-        self.stats.add(jc::SATURATION_ROUNDS, s.rounds as u64);
+        self.stats.count(|c| c.saturation_rounds += s.rounds as u64);
         (p, s)
     }
 
@@ -851,7 +663,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             self.d2.meet_all(&base_s.right, &delta_r)
         };
         let s = no_saturate_budgeted(&self.d1, e1, &self.d2, e2, &self.budget);
-        self.stats.add(jc::SATURATION_ROUNDS, s.rounds as u64);
+        self.stats.count(|c| c.saturation_rounds += s.rounds as u64);
         // The resumed elements may mention the base's fresh names; make
         // sure every one of them is scheduled for elimination downstream.
         // (Shared atoms mean shared alien terms, so `p.fresh` already
@@ -920,7 +732,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                 });
                 return (v2, defs);
             }
-            self.stats.add(jc::QSAT_ROUNDS, 1);
+            self.stats.count(|c| c.qsat_rounds += 1);
             let mut changed = false;
             // One batched Alternate pass per component per round; as
             // variables leave V2, later rounds may find more definitions.
@@ -933,7 +745,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                         continue;
                     }
                     if t.as_var() == Some(y) || t.mentions_any(&v2) {
-                        self.stats.add(jc::DEFS_REJECTED, 1);
+                        self.stats.count(|c| c.defs_rejected += 1);
                         // The definition the Alternate would have
                         // transferred across the product is dropped.
                         self.budget.record(Event::new(
@@ -943,7 +755,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                         ));
                         continue;
                     }
-                    self.stats.add(jc::DEFS_FOUND, 1);
+                    self.stats.count(|c| c.defs_found += 1);
                     defs.push((y, t));
                     v2.remove(&y);
                     changed = true;
@@ -1005,10 +817,15 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
     /// The shared implementation of join and widening (the paper constructs
     /// the widening operator "in exactly the same way" as the join).
     fn join_impl(&self, el: &Conj, er: &Conj, widen: bool) -> Conj {
-        self.stats
-            .add(if widen { jc::WIDENS } else { jc::JOINS }, 1);
+        self.stats.count(|c| {
+            if widen {
+                c.widens += 1;
+            } else {
+                c.joins += 1;
+            }
+        });
         if self.budget.is_exhausted() {
-            self.stats.add(jc::FALLBACKS, 1);
+            self.stats.count(|c| c.fallbacks += 1);
             self.budget.degrade(
                 "logical-product/join",
                 "fell back to syntactic intersection",
@@ -1033,8 +850,8 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         lvars.extend(pl.fresh.iter().copied());
         let mut rvars: VarSet = er.vars();
         rvars.extend(pr.fresh.iter().copied());
-        self.stats
-            .add(jc::PAIRS_CONSIDERED, (lvars.len() * rvars.len()) as u64);
+        let considered = (lvars.len() * rvars.len()) as u64;
+        self.stats.count(|c| c.pairs_considered += considered);
         let lreps = class_reps(&lvars, &sl.equalities);
         let rreps = class_reps(&rvars, &sr.equalities);
         // The pair-variable set is the quadratic heart of Figure 6 —
@@ -1043,7 +860,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         // the syntactic join if the budget cannot afford it.
         let npairs = (lreps.len() * rreps.len()) as u64;
         if !self.budget.tick(npairs) {
-            self.stats.add(jc::FALLBACKS, 1);
+            self.stats.count(|c| c.fallbacks += 1);
             self.budget.degrade("logical-product/join", {
                 format!(
                     "pair-variable set of {}x{} classes exceeded the budget",
@@ -1053,7 +870,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             });
             return self.fallback_join(el, er);
         }
-        self.stats.add(jc::PAIRS_GENERATED, npairs);
+        self.stats.count(|c| c.pairs_generated += npairs);
         let mut pair_vars = VarSet::new();
         let mut atoms_l: Vec<Atom> = Vec::new();
         let mut atoms_r: Vec<Atom> = Vec::new();
@@ -1109,7 +926,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             "join/saturate",
             no_saturate_budgeted(&self.d1, j1, &self.d2, j2, &self.budget)
         );
-        self.stats.add(jc::SATURATION_ROUNDS, s.rounds as u64);
+        self.stats.count(|c| c.saturation_rounds += s.rounds as u64);
         if s.bottom {
             return self.bottom();
         }
@@ -1129,8 +946,8 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         occurring.extend(c2.vars());
         let all_pairs = pair_vars.len();
         pair_vars.retain(|v| occurring.contains(v));
-        self.stats
-            .add(jc::PAIRS_PRUNED, (all_pairs - pair_vars.len()) as u64);
+        let pruned = (all_pairs - pair_vars.len()) as u64;
+        self.stats.count(|c| c.pairs_pruned += pruned);
         cai_obs::instant!(
             "join/sizes pairs={} pruned={} mixed_atoms={}",
             all_pairs,
@@ -1228,9 +1045,9 @@ impl<D1: AbstractDomain, D2: AbstractDomain> AbstractDomain for LogicalProduct<D
     }
 
     fn exists(&self, e: &Conj, vars: &VarSet) -> Conj {
-        self.stats.add(jc::EXISTS_OPS, 1);
+        self.stats.count(|c| c.exists_ops += 1);
         if self.budget.is_exhausted() {
-            self.stats.add(jc::FALLBACKS, 1);
+            self.stats.count(|c| c.fallbacks += 1);
             self.budget.degrade(
                 "logical-product/exists",
                 "fell back to syntactic projection",
@@ -1249,8 +1066,8 @@ impl<D1: AbstractDomain, D2: AbstractDomain> AbstractDomain for LogicalProduct<D
         let evars = e.vars();
         let requested = vars.len();
         let mut v1: VarSet = vars.iter().copied().filter(|v| evars.contains(v)).collect();
-        self.stats
-            .add(jc::PAIRS_PRUNED, (requested - v1.len()) as u64);
+        let pruned = (requested - v1.len()) as u64;
+        self.stats.count(|c| c.pairs_pruned += pruned);
         v1.extend(p.fresh.iter().copied());
         if v1.is_empty() {
             return e.clone();

@@ -24,11 +24,11 @@
 use crate::summary::{entry_context, entry_key, instantiate_summary, summarize, Summary};
 use cai_core::{AbstractDomain, Event, LossKind};
 use cai_interp::{AnalysisConfig, Analyzer, CallResolver, CallSite, Module, Procedure};
-use cai_obs::{provenance, write_kv, CounterFamily};
+use cai_obs::provenance;
 use cai_term::Conj;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::ops::AddAssign;
 
 /// Hard ceiling on nested demand-specializations, defending against
 /// pathological mutual-recursion chains the per-key cycle check and the
@@ -39,64 +39,10 @@ const MAX_SPECIALIZE_DEPTH: usize = 64;
 /// new entries widen into it before it degrades to the ⊤-entry summary.
 const OVERFLOW_RECOMPUTE_CAP: usize = 8;
 
-/// [`CtxStats`] counter names, in cell order (indices in [`cc`]).
-const CTX_COUNTERS: &[&str] = &[
-    "contexts_created",
-    "memo_hits",
-    "cap_widenings",
-    "top_fallbacks",
-];
-
-/// Cell indices into [`CTX_COUNTERS`].
-mod cc {
-    pub const CONTEXTS_CREATED: usize = 0;
-    pub const MEMO_HITS: usize = 1;
-    pub const CAP_WIDENINGS: usize = 2;
-    pub const TOP_FALLBACKS: usize = 3;
-}
-
-/// Shared observability counters for context-sensitive resolution — like
-/// `cai_core::JoinStats`, a thin facade over a [`cai_obs::CounterFamily`]:
-/// cloning shares the counters, so one `CtxStats` aggregates over every
-/// worker of a parallel run.
-#[derive(Clone, Debug)]
-pub struct CtxStats {
-    fam: CounterFamily,
-}
-
-impl Default for CtxStats {
-    fn default() -> CtxStats {
-        CtxStats {
-            fam: CounterFamily::new(CTX_COUNTERS),
-        }
-    }
-}
-
-impl CtxStats {
-    /// Fresh counters, all zero.
-    pub fn new() -> CtxStats {
-        CtxStats::default()
-    }
-
-    fn add(&self, idx: usize, n: u64) {
-        self.fam.add(idx, n);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> CtxStatsSnapshot {
-        CtxStatsSnapshot {
-            contexts_created: self.fam.get(cc::CONTEXTS_CREATED),
-            memo_hits: self.fam.get(cc::MEMO_HITS),
-            cap_widenings: self.fam.get(cc::CAP_WIDENINGS),
-            top_fallbacks: self.fam.get(cc::TOP_FALLBACKS),
-        }
-    }
-}
-
-/// A point-in-time copy of [`CtxStats`]. Plain data: subtract two
-/// snapshots field-wise to meter a region.
+/// Context-sensitivity counters of one run: each component job counts
+/// its own, and the engine sums them into `ModuleAnalysis::ctx`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CtxStatsSnapshot {
+pub struct CtxStats {
     /// Entry-keyed specializations computed (including overflow
     /// recomputations).
     pub contexts_created: u64,
@@ -111,17 +57,12 @@ pub struct CtxStatsSnapshot {
     pub top_fallbacks: u64,
 }
 
-impl fmt::Display for CtxStatsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_kv(
-            f,
-            [
-                ("contexts_created", self.contexts_created),
-                ("memo_hits", self.memo_hits),
-                ("cap_widenings", self.cap_widenings),
-                ("top_fallbacks", self.top_fallbacks),
-            ],
-        )
+impl AddAssign for CtxStats {
+    fn add_assign(&mut self, other: CtxStats) {
+        self.contexts_created += other.contexts_created;
+        self.memo_hits += other.memo_hits;
+        self.cap_widenings += other.cap_widenings;
+        self.top_fallbacks += other.top_fallbacks;
     }
 }
 
@@ -159,7 +100,9 @@ pub struct ContextResolver<'a, D: AbstractDomain> {
     /// Intra-procedure analyzer knobs for specializations; its budget is
     /// this job's slice and governs the whole mechanism.
     cfg: AnalysisConfig,
-    stats: CtxStats,
+    /// The job's counters. They live outside the job's crash guard, so a
+    /// dispatch that panics still counts what it did.
+    stats: &'a Cell<CtxStats>,
     store: RefCell<BTreeMap<String, ProcContexts>>,
     in_progress: RefCell<Vec<(String, u64)>>,
 }
@@ -176,7 +119,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         seed: &BTreeMap<String, Vec<Summary>>,
         cap: usize,
         cfg: AnalysisConfig,
-        stats: CtxStats,
+        stats: &'a Cell<CtxStats>,
     ) -> ContextResolver<'a, D> {
         let mut store: BTreeMap<String, ProcContexts> = BTreeMap::new();
         for (name, sums) in seed {
@@ -204,6 +147,12 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
             store: RefCell::new(store),
             in_progress: RefCell::new(Vec::new()),
         }
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut CtxStats)) {
+        let mut stats = self.stats.get();
+        bump(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Replaces the component-local summary table (called by the solver
@@ -245,7 +194,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
             let store = self.store.borrow();
             if let Some(s) = store.get(&proc.name).and_then(|pc| pc.entries.get(&key)) {
                 if s.entry == entry {
-                    self.stats.add(cc::MEMO_HITS, 1);
+                    self.count(|c| c.memo_hits += 1);
                     return Some(s.clone());
                 }
                 // A fingerprint collision between distinct entries:
@@ -254,7 +203,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
                     "driver/context",
                     "entry fingerprint collision; using the ⊤-entry summary",
                 );
-                self.stats.add(cc::TOP_FALLBACKS, 1);
+                self.count(|c| c.top_fallbacks += 1);
                 return None;
             }
         }
@@ -266,7 +215,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         {
             // A cyclic demand through this exact context: the final
             // ⊤-entry summary is the sound bottom-out.
-            self.stats.add(cc::TOP_FALLBACKS, 1);
+            self.count(|c| c.top_fallbacks += 1);
             return None;
         }
         let over_cap = self
@@ -284,7 +233,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
             .or_default()
             .entries
             .insert(key, sum.clone());
-        self.stats.add(cc::CONTEXTS_CREATED, 1);
+        self.count(|c| c.contexts_created += 1);
         Some(sum)
     }
 
@@ -296,7 +245,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
     /// recompute allowance (degrade to the ⊤-entry summary).
     fn overflow_summary(&self, proc: &Procedure, entry: Conj) -> Option<Summary> {
         let d = self.domain;
-        self.stats.add(cc::CAP_WIDENINGS, 1);
+        self.count(|c| c.cap_widenings += 1);
         // The cap is where entry distinctions die: every overflow entry
         // is widened into one context (or all the way to the ⊤-entry
         // summary), so blame the loss on the overflowing procedure.
@@ -332,7 +281,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
                 .get(&proc.name)
                 .and_then(|pc| pc.overflow.clone())
             {
-                self.stats.add(cc::MEMO_HITS, 1);
+                self.count(|c| c.memo_hits += 1);
                 return Some(s);
             }
         }
@@ -341,7 +290,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
                 "driver/context",
                 "overflow context kept widening; degraded to the ⊤-entry summary",
             );
-            self.stats.add(cc::TOP_FALLBACKS, 1);
+            self.count(|c| c.top_fallbacks += 1);
             return None;
         }
         if let Some(pc) = self.store.borrow_mut().get_mut(&proc.name) {
@@ -352,7 +301,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         if let Some(pc) = self.store.borrow_mut().get_mut(&proc.name) {
             pc.overflow = Some(sum.clone());
         }
-        self.stats.add(cc::CONTEXTS_CREATED, 1);
+        self.count(|c| c.contexts_created += 1);
         Some(sum)
     }
 
@@ -367,7 +316,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
                 "driver/context",
                 "specialization degraded to the ⊤-entry summary: budget exhausted",
             );
-            self.stats.add(cc::TOP_FALLBACKS, 1);
+            self.count(|c| c.top_fallbacks += 1);
             return None;
         }
         if self.in_progress.borrow().len() >= MAX_SPECIALIZE_DEPTH {
@@ -375,7 +324,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
                 "driver/context",
                 "specialization depth cap hit; using the ⊤-entry summary",
             );
-            self.stats.add(cc::TOP_FALLBACKS, 1);
+            self.count(|c| c.top_fallbacks += 1);
             return None;
         }
         self.in_progress.borrow_mut().push((proc.name.clone(), key));
@@ -415,7 +364,7 @@ impl<D: AbstractDomain> CallResolver<D> for ContextResolver<'_, D> {
                 "driver/context",
                 "entry-context computation skipped: budget exhausted",
             );
-            self.stats.add(cc::TOP_FALLBACKS, 1);
+            self.count(|c| c.top_fallbacks += 1);
             None
         } else {
             self.module

@@ -3,19 +3,19 @@
 //! the fingerprint-keyed incremental cache.
 
 use crate::callgraph::CallGraph;
-use crate::context::{ContextResolver, CtxStats, CtxStatsSnapshot};
+use crate::context::{ContextResolver, CtxStats};
 use crate::summary::{
     config_fingerprint, member_fingerprint, scc_fingerprint, summarize, Fnv64, Summary,
     SummaryResolver,
 };
-use crate::supervisor::{self, SupStats, SupStatsSnapshot, Supervised, SupervisorCfg, Watchdog};
-use cai_core::cache::{self as ccache, cs, Cache, StoreOutcome};
+use crate::supervisor::{self, SupStats, Supervised, SupervisorCfg, Watchdog};
 use cai_core::{
     AbstractDomain, BlameTable, Budget, BudgetPolicy, CacheConfig, DegradationReport, Event,
     LossKind, SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
 use cai_obs::provenance;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
@@ -65,11 +65,11 @@ pub struct ModuleAnalysis {
     pub degradation: DegradationReport,
     /// Context-sensitivity counters for this run (all zero under
     /// [`Driver::context_cap`]`(0)`).
-    pub ctx: CtxStatsSnapshot,
+    pub ctx: CtxStats,
     /// Supervision counters for this run: caught panics, retries,
     /// recoveries, watchdog stalls, quarantines. All zero on a
     /// fault-free run.
-    pub supervision: SupStatsSnapshot,
+    pub supervision: SupStats,
 }
 
 impl ModuleAnalysis {
@@ -110,12 +110,11 @@ impl<'a> IntoIterator for &'a ModuleAnalysis {
     }
 }
 
-/// One procedure's persisted analysis result — the [`SummaryCache`]'s
-/// value type under the unified [`Cache`] trait. Fields are sealed:
+/// One procedure's persisted analysis result in the [`SummaryCache`].
 /// [`CacheEntry::new`] computes the integrity checksum at construction,
 /// so an entry can only disagree with its checksum through corruption.
 #[derive(Clone, Debug)]
-pub struct CacheEntry {
+struct CacheEntry {
     fingerprint: u64,
     report: ProcReport,
     /// Entry-keyed specializations of this procedure, in entry-key
@@ -133,7 +132,7 @@ impl CacheEntry {
     /// Seals a new entry, digesting every reusable field into the
     /// integrity checksum that [`SummaryCache::reject_corrupt`] verifies
     /// before any reuse decision.
-    pub fn new(fingerprint: u64, report: ProcReport, contexts: Vec<Summary>) -> CacheEntry {
+    fn new(fingerprint: u64, report: ProcReport, contexts: Vec<Summary>) -> CacheEntry {
         let checksum = entry_checksum(fingerprint, &report, &contexts);
         CacheEntry {
             fingerprint,
@@ -141,22 +140,6 @@ impl CacheEntry {
             contexts,
             checksum,
         }
-    }
-
-    /// The configuration-joined procedure fingerprint this entry is
-    /// valid for.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The persisted procedure report.
-    pub fn report(&self) -> &ProcReport {
-        &self.report
-    }
-
-    /// The persisted context specializations, in entry-key order.
-    pub fn contexts(&self) -> &[Summary] {
-        &self.contexts
     }
 }
 
@@ -208,11 +191,13 @@ fn entry_checksum(fingerprint: u64, report: &ProcReport, contexts: &[Summary]) -
 /// specialization, so re-analysis of a dirty caller reuses the entry
 /// contexts of its unchanged callees.
 ///
-/// Implements the unified [`Cache`] trait (`String` keys, [`CacheEntry`]
-/// values) and counts into a shared [`cai_core::CacheStats`] family.
-/// **Clone semantics**: cloning *snapshots* the entries (each clone owns
-/// its table — the opposite of `SplitCache`, whose clones share) but
-/// *shares* the counters, so stats aggregate across clones.
+/// Hits are keyed on the full procedure name and verified against the
+/// entry's integrity checksum before any reuse; a quarantined result is
+/// never stored; a full table is cleared wholesale; capacity 0 disables
+/// persistence. A run's reuse counts are its
+/// [`ModuleAnalysis::reused`] and [`ModuleAnalysis::recomputed`].
+/// **Clone semantics**: cloning copies the entries (each clone owns its
+/// table — the opposite of `SplitCache`, whose clones share).
 #[derive(Clone, Debug)]
 pub struct SummaryCache {
     entries: BTreeMap<String, CacheEntry>,
@@ -225,7 +210,6 @@ pub struct SummaryCache {
     /// Entry capacity ([`CacheConfig::summary_capacity`]); 0 disables
     /// persistence entirely.
     capacity: usize,
-    stats: ccache::CacheStats,
 }
 
 impl Default for SummaryCache {
@@ -248,7 +232,6 @@ impl SummaryCache {
             entries: BTreeMap::new(),
             incidents: BTreeMap::new(),
             capacity: cfg.summary_capacity,
-            stats: ccache::CacheStats::new(),
         }
     }
 
@@ -281,8 +264,6 @@ impl SummaryCache {
             .collect();
         for name in corrupt {
             self.entries.remove(&name);
-            self.stats.bump(cs::CORRUPTIONS);
-            self.stats.bump(cs::EVICTIONS);
             budget.record(
                 Event::new(
                     LossKind::CacheCorruption,
@@ -316,6 +297,18 @@ impl SummaryCache {
         }
     }
 
+    /// Stores a finished entry; a full table is cleared wholesale first,
+    /// and capacity 0 stores nothing.
+    fn store(&mut self, name: String, entry: CacheEntry) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&name) {
+            self.entries.clear();
+        }
+        self.entries.insert(name, entry);
+    }
+
     /// Test hook: silently corrupts the stored entry for `name` without
     /// refreshing its checksum, simulating bit rot in a persisted cache.
     /// The corruption chosen is the dangerous kind — the summary's exit
@@ -332,75 +325,6 @@ impl SummaryCache {
             }
             None => false,
         }
-    }
-}
-
-impl Cache for SummaryCache {
-    type Key = String;
-    type Value = CacheEntry;
-
-    fn lookup(&self, key: &String) -> Option<CacheEntry> {
-        // BTreeMap keys on the full string — no fingerprint shortcut, so
-        // every hit is trivially verified.
-        self.entries.get(key).cloned()
-    }
-
-    fn store(&mut self, key: String, value: CacheEntry, degraded: bool) -> StoreOutcome {
-        if degraded {
-            // Quarantined results reach here with `degraded = true`: the
-            // ⊤ pin is a this-run survival measure and must never poison
-            // a later run (degradation-aware invalidation).
-            self.stats.bump(cs::SKIPS);
-            return StoreOutcome::SkippedDegraded;
-        }
-        if self.capacity == 0 {
-            return StoreOutcome::Disabled;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            self.entries.clear();
-            self.stats.bump(cs::EVICTIONS);
-            self.entries.insert(key, value);
-            return StoreOutcome::StoredEvicting;
-        }
-        self.entries.insert(key, value);
-        StoreOutcome::Stored
-    }
-
-    fn invalidate(&mut self, key: &String) -> bool {
-        let removed = self.entries.remove(key).is_some();
-        if removed {
-            self.stats.bump(cs::EVICTIONS);
-        }
-        removed
-    }
-
-    fn clear(&mut self) {
-        // Entries go; the decayed incident history is observational
-        // state, not derived from the entries, and survives the clear —
-        // a chronically faulty procedure stays damped.
-        if !self.entries.is_empty() {
-            self.stats.bump(cs::INVALIDATIONS);
-        }
-        self.entries.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn stats(&self) -> &ccache::CacheStats {
-        &self.stats
-    }
-
-    fn checksum(&self) -> u64 {
-        // Folds the entries' own integrity digests (each covers its key
-        // via the report name), so the table checksum doubles as a
-        // content audit, not just a key census.
-        ccache::fold_checksum(self.entries.values().map(|e| e.checksum))
     }
 }
 
@@ -448,7 +372,7 @@ struct Job {
 /// identical for every thread count.
 ///
 /// Every per-procedure analysis runs *supervised* (see the
-/// [`supervisor`](crate::SupStatsSnapshot) layer): a panicking analysis
+/// [`supervisor`](crate::SupStats) layer): a panicking analysis
 /// is caught, retried up to [`max_retries`](Driver::max_retries) times
 /// with halved fuel, then quarantined to the sound ⊤ summary; an
 /// optional [`proc_deadline`](Driver::proc_deadline) watchdog turns
@@ -728,8 +652,8 @@ where
             policy: self.cfg.policy,
             sup: self.supervisor,
         };
-        let ctx_stats = CtxStats::new();
-        let sup_stats = SupStats::new();
+        let mut ctx = CtxStats::default();
+        let mut supervision = SupStats::default();
         let (mut degradation, job_contexts) = if self.threads <= 1 || todo.len() <= 1 {
             self.run_sequential(
                 module,
@@ -738,8 +662,8 @@ where
                 &weights,
                 cfg,
                 &seed,
-                &ctx_stats,
-                &sup_stats,
+                &mut ctx,
+                &mut supervision,
                 &mut summaries,
                 &mut reports,
             )
@@ -751,8 +675,8 @@ where
                 &weights,
                 cfg,
                 &seed,
-                &ctx_stats,
-                &sup_stats,
+                &mut ctx,
+                &mut supervision,
                 &mut summaries,
                 &mut reports,
             )
@@ -778,16 +702,6 @@ where
         }
 
         // Refresh the cache: exactly the current module's procedures.
-        // Entries whose procedure left the module or whose fingerprint
-        // changed count as evictions.
-        let stale = cache
-            .entries
-            .iter()
-            .filter(|(name, e)| proc_fps.get(*name) != Some(&e.fingerprint))
-            .count() as u64;
-        cache.stats.add(cs::EVICTIONS, stale);
-        cache.stats.add(cs::HITS, reused as u64);
-        cache.stats.add(cs::MISSES, recomputed as u64);
         cache.entries.clear();
         for p in &module.procs {
             let Some(&fingerprint) = proc_fps.get(&p.name) else {
@@ -796,19 +710,10 @@ where
             let Some(report) = reports.get(&p.name).cloned() else {
                 continue;
             };
-            // A quarantined result is stored as degraded, which the
-            // unified contract drops: the ⊤ pin is a this-run survival
-            // measure, and the next run should recompute the real
-            // summary.
-            let quarantined = report.quarantined;
-            let contexts: Vec<Summary> = merged_contexts
-                .remove(&p.name)
-                .map(|m| m.into_values().take(self.context_cap).collect())
-                .unwrap_or_default();
-            let entry = CacheEntry::new(fingerprint, report, contexts);
-            if Cache::store(cache, p.name.clone(), entry, quarantined)
-                == StoreOutcome::SkippedDegraded
-            {
+            // A quarantined result is never stored: the ⊤ pin is a
+            // this-run survival measure, and the next run should
+            // recompute the real summary.
+            if report.quarantined {
                 run.record(
                     Event::new(
                         LossKind::CacheSkippedDegraded,
@@ -817,7 +722,16 @@ where
                     )
                     .scoped(&p.name),
                 );
+                continue;
             }
+            let contexts: Vec<Summary> = merged_contexts
+                .remove(&p.name)
+                .map(|m| m.into_values().take(self.context_cap).collect())
+                .unwrap_or_default();
+            cache.store(
+                p.name.clone(),
+                CacheEntry::new(fingerprint, report, contexts),
+            );
         }
         degradation.merge(&run.report());
         cache.absorb_faults(&degradation.blame);
@@ -838,8 +752,8 @@ where
             reused,
             recomputed,
             degradation,
-            ctx: ctx_stats.snapshot(),
-            supervision: sup_stats.snapshot(),
+            ctx,
+            supervision,
         }
     }
 
@@ -852,8 +766,8 @@ where
         weights: &[u64],
         cfg: SolveCfg,
         seed: &BTreeMap<String, Vec<Summary>>,
-        ctx_stats: &CtxStats,
-        sup_stats: &SupStats,
+        ctx: &mut CtxStats,
+        supervision: &mut SupStats,
         summaries: &mut BTreeMap<String, Summary>,
         reports: &mut BTreeMap<String, ProcReport>,
     ) -> (DegradationReport, JobContexts) {
@@ -866,7 +780,7 @@ where
         for (&c, slice) in todo.iter().zip(&slices) {
             let members = &graph.sccs[c];
             let external = external_snapshot(module, members, summaries);
-            let (out, contexts) = run_job(
+            let job = run_job(
                 &self.factory,
                 module,
                 members,
@@ -875,14 +789,14 @@ where
                 graph.is_recursive(c, module),
                 cfg,
                 slice,
-                ctx_stats,
-                sup_stats,
             );
-            for r in out {
+            *ctx += job.ctx;
+            *supervision += job.sup;
+            for r in job.reports {
                 summaries.insert(r.name.clone(), r.summary.clone());
                 reports.insert(r.name.clone(), r);
             }
-            job_contexts.push((c, contexts));
+            job_contexts.push((c, job.contexts));
         }
         let mut degradation = DegradationReport::default();
         for slice in &slices {
@@ -911,8 +825,8 @@ where
         weights: &[u64],
         cfg: SolveCfg,
         seed: &BTreeMap<String, Vec<Summary>>,
-        ctx_stats: &CtxStats,
-        sup_stats: &SupStats,
+        ctx: &mut CtxStats,
+        supervision: &mut SupStats,
         summaries: &mut BTreeMap<String, Summary>,
         reports: &mut BTreeMap<String, ProcReport>,
     ) -> (DegradationReport, JobContexts) {
@@ -945,8 +859,7 @@ where
         let queue: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
         let ready = Condvar::new();
         let done = AtomicBool::new(false);
-        type JobResult = (usize, Vec<ProcReport>, BTreeMap<String, Vec<Summary>>);
-        let (result_tx, result_rx) = mpsc::channel::<JobResult>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, JobOutput)>();
 
         let push_job = |c: usize, summaries: &BTreeMap<String, Summary>| {
             let members = graph.sccs[c].clone();
@@ -973,8 +886,6 @@ where
                 let ready = &ready;
                 let done = &done;
                 let factory = &self.factory;
-                let ctx_stats = ctx_stats.clone();
-                let sup_stats = sup_stats.clone();
                 s.spawn(move || {
                     'work: loop {
                         let job = {
@@ -993,7 +904,7 @@ where
                         // instead), so the result send below always happens
                         // and the main thread's `remaining` count never
                         // deadlocks on a lost worker.
-                        let (out, contexts) = run_job(
+                        let out = run_job(
                             factory,
                             module,
                             &job.members,
@@ -1002,10 +913,8 @@ where
                             job.recursive,
                             cfg,
                             &job.slice,
-                            &ctx_stats,
-                            &sup_stats,
                         );
-                        if tx.send((job.scc, out, contexts)).is_err() {
+                        if tx.send((job.scc, out)).is_err() {
                             break;
                         }
                     }
@@ -1025,15 +934,17 @@ where
             }
             let mut remaining = todo.len();
             while remaining > 0 {
-                let Ok((c, out, contexts)) = result_rx.recv() else {
+                let Ok((c, job)) = result_rx.recv() else {
                     break; // all workers gone — nothing more will arrive
                 };
                 remaining -= 1;
-                for r in out {
+                *ctx += job.ctx;
+                *supervision += job.sup;
+                for r in job.reports {
                     summaries.insert(r.name.clone(), r.summary.clone());
                     reports.insert(r.name.clone(), r);
                 }
-                job_contexts.push((c, contexts));
+                job_contexts.push((c, job.contexts));
                 if let Some(deps) = dependents.get(&c) {
                     for &dep in deps {
                         if let Some(count) = indegree.get_mut(&dep) {
@@ -1160,6 +1071,15 @@ fn quarantined_pass(proc: &Procedure) -> ProcPass {
     }
 }
 
+/// What one component job hands back to the scheduler: its reports, the
+/// context specializations it computed, and its counters.
+struct JobOutput {
+    reports: Vec<ProcReport>,
+    contexts: BTreeMap<String, Vec<Summary>>,
+    ctx: CtxStats,
+    sup: SupStats,
+}
+
 /// Runs one component job under crash supervision. The per-procedure
 /// [`supervisor::supervise`] boundary inside [`solve_scc`] absorbs the
 /// expected faults; this wrapper is the belt-and-braces layer for a
@@ -1179,9 +1099,7 @@ fn run_job<D, F>(
     recursive: bool,
     cfg: SolveCfg,
     slice: &Budget,
-    ctx_stats: &CtxStats,
-    sup_stats: &SupStats,
-) -> (Vec<ProcReport>, BTreeMap<String, Vec<Summary>>)
+) -> JobOutput
 where
     D: AbstractDomain,
     F: Fn(&Budget) -> D + Sync,
@@ -1192,12 +1110,16 @@ where
             .first()
             .map_or("<empty>", |&i| module.procs[i].name.as_str())
     ));
+    // Context counts survive a crashed dispatch: the resolver counts into
+    // this cell, which lives outside the crash guard.
+    let ctx = Cell::new(CtxStats::default());
+    let mut sup = SupStats::default();
     for attempt in 0..2u32 {
-        // Each dispatch accounts into a transactional local counter set,
-        // committed only on success: a wholesale crash abandons the
+        // Each dispatch counts its supervision on its own, added to the
+        // job's only on success: a wholesale crash abandons the
         // dispatch's results, so counting its retries/quarantines would
         // leave the batch stats disagreeing with the final reports.
-        let local_stats = SupStats::new();
+        let mut dispatch = SupStats::default();
         let outcome = supervisor::guard(|| {
             solve_scc(
                 factory,
@@ -1208,17 +1130,22 @@ where
                 recursive,
                 cfg,
                 slice,
-                ctx_stats,
-                &local_stats,
+                &ctx,
+                &mut dispatch,
             )
         });
         match outcome {
-            Ok(result) => {
-                sup_stats.absorb(&local_stats);
-                return result;
+            Ok((reports, contexts)) => {
+                sup += dispatch;
+                return JobOutput {
+                    reports,
+                    contexts,
+                    ctx: ctx.get(),
+                    sup,
+                };
             }
             Err(message) => {
-                sup_stats.note_panic();
+                sup.panics_caught += 1;
                 for &i in members {
                     let detail =
                         format!("attempt {attempt}: escaped per-procedure supervision: {message}");
@@ -1228,16 +1155,16 @@ where
                     );
                 }
                 if attempt == 0 {
-                    sup_stats.note_retry();
+                    sup.retries += 1;
                 }
             }
         }
     }
-    let out = members
+    sup.quarantined += members.len() as u64;
+    let reports = members
         .iter()
         .map(|&i| {
             let proc = &module.procs[i];
-            sup_stats.note_quarantined();
             slice.record(
                 Event::new(
                     LossKind::Quarantine,
@@ -1256,7 +1183,12 @@ where
             }
         })
         .collect();
-    (out, BTreeMap::new())
+    JobOutput {
+        reports,
+        contexts: BTreeMap::new(),
+        ctx: ctx.get(),
+        sup,
+    }
 }
 
 /// Solves one strongly connected component: non-recursive components
@@ -1289,8 +1221,8 @@ fn solve_scc<D, F>(
     recursive: bool,
     cfg: SolveCfg,
     budget: &Budget,
-    ctx_stats: &CtxStats,
-    sup_stats: &SupStats,
+    ctx: &Cell<CtxStats>,
+    sup: &mut SupStats,
 ) -> (Vec<ProcReport>, BTreeMap<String, Vec<Summary>>)
 where
     D: AbstractDomain,
@@ -1301,7 +1233,7 @@ where
     let watchdog = cfg
         .sup
         .proc_deadline
-        .map(|deadline| Watchdog::arm(budget.clone(), deadline, sup_stats.clone()));
+        .map(|deadline| Watchdog::arm(budget.clone(), deadline));
     let acfg = AnalysisConfig {
         widen_delay: cfg.widen_delay,
         max_iterations: cfg.max_iterations,
@@ -1317,7 +1249,7 @@ where
             seed,
             cfg.context_cap,
             acfg.clone(),
-            ctx_stats.clone(),
+            ctx,
         )
     });
 
@@ -1365,9 +1297,9 @@ where
     // One *supervised* pass: catch/retry/quarantine around the attempt.
     // A member already quarantined earlier in this job skips re-analysis
     // and keeps contributing its ⊤ pin.
-    let supervised_pass = |proc: &Procedure,
-                           local: &BTreeMap<String, Summary>,
-                           quarantined: &mut BTreeSet<String>|
+    let mut supervised_pass = |proc: &Procedure,
+                               local: &BTreeMap<String, Summary>,
+                               quarantined: &mut BTreeSet<String>|
      -> ProcPass {
         if quarantined.contains(&proc.name) {
             return quarantined_pass(proc);
@@ -1376,19 +1308,13 @@ where
         // Blame scope: every loss the attempt records is attributed to
         // this procedure (loops nest their `loop#N` labels below it).
         let _blame_scope = provenance::scope(proc.name.as_str());
-        let outcome = supervisor::supervise(
-            &proc.name,
-            &cfg.sup,
-            budget,
-            sup_stats,
-            watchdog.as_ref(),
-            |ab| {
+        let outcome =
+            supervisor::supervise(&proc.name, &cfg.sup, budget, sup, watchdog.as_ref(), |ab| {
                 if let Some(resolver) = &ctx_resolver {
                     resolver.reset_in_flight();
                 }
                 attempt_pass(proc, local, ab)
-            },
-        );
+            });
         match outcome {
             Supervised::Done(pass) => pass,
             Supervised::Quarantined => {
@@ -1416,6 +1342,7 @@ where
                 quarantined: quarantined.contains(&proc.name),
             });
         }
+        sup.stalls += u64::from(watchdog.is_some_and(Watchdog::stop));
         return (out, take_contexts(ctx_resolver));
     }
 
@@ -1501,6 +1428,7 @@ where
             quarantined: is_quarantined,
         });
     }
+    sup.stalls += u64::from(watchdog.is_some_and(Watchdog::stop));
     (out, take_contexts(ctx_resolver))
 }
 

@@ -48,10 +48,10 @@ mod supervisor;
 
 pub use blame::{differential, AssertRegression, BlameCause, DifferentialReport};
 pub use callgraph::CallGraph;
-pub use context::{ContextResolver, CtxStats, CtxStatsSnapshot};
-pub use engine::{CacheEntry, Driver, ModuleAnalysis, ProcReport, SummaryCache};
+pub use context::{ContextResolver, CtxStats};
+pub use engine::{Driver, ModuleAnalysis, ProcReport, SummaryCache};
 pub use summary::{
     config_fingerprint, entry_context, entry_key, instantiate_summary, member_fingerprint,
     scc_fingerprint, summarize, Summary, SummaryResolver,
 };
-pub use supervisor::{SupStats, SupStatsSnapshot};
+pub use supervisor::SupStats;

@@ -37,9 +37,9 @@
 //! deliberately wall-clock-dependent piece and is off by default.
 
 use cai_core::{Budget, Event, LossKind};
-use cai_obs::{clock, write_kv, CounterFamily};
+use cai_obs::clock;
 use std::cell::Cell;
-use std::fmt;
+use std::ops::AddAssign;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
@@ -64,90 +64,14 @@ impl Default for SupervisorCfg {
     }
 }
 
-/// [`SupStats`] counter names, in cell order (indices in [`sc`]).
-const SUP_COUNTERS: &[&str] = &[
-    "panics_caught",
-    "retries",
-    "recovered",
-    "stalls",
-    "quarantined",
-];
-
-/// Cell indices into [`SUP_COUNTERS`].
-mod sc {
-    pub const PANICS_CAUGHT: usize = 0;
-    pub const RETRIES: usize = 1;
-    pub const RECOVERED: usize = 2;
-    pub const STALLS: usize = 3;
-    pub const QUARANTINED: usize = 4;
-}
-
-/// Shared supervision counters — the same observability shape as
-/// [`CtxStats`](crate::CtxStats), a thin facade over a
-/// [`cai_obs::CounterFamily`]: cloning shares the counters, so one
-/// `SupStats` aggregates over every job of a batch.
-#[derive(Clone, Debug)]
-pub struct SupStats {
-    fam: CounterFamily,
-}
-
-impl Default for SupStats {
-    fn default() -> SupStats {
-        SupStats {
-            fam: CounterFamily::new(SUP_COUNTERS),
-        }
-    }
-}
-
-impl SupStats {
-    /// Fresh counters, all zero.
-    pub fn new() -> SupStats {
-        SupStats::default()
-    }
-
-    /// Records a panic that escaped per-procedure supervision and was
-    /// caught by the job-level [`guard`] instead.
-    pub(crate) fn note_panic(&self) {
-        self.fam.bump(sc::PANICS_CAUGHT);
-    }
-
-    /// Records a job-level re-dispatch after an escaped panic.
-    pub(crate) fn note_retry(&self) {
-        self.fam.bump(sc::RETRIES);
-    }
-
-    /// Records one procedure quarantined outside [`supervise`] (the
-    /// whole-component crash path).
-    pub(crate) fn note_quarantined(&self) {
-        self.fam.bump(sc::QUARANTINED);
-    }
-
-    /// Folds `other`'s counts into this set. The engine gives each job
-    /// dispatch a transactional local `SupStats` and commits it here only
-    /// when the dispatch returns: a wholesale crash abandons the
-    /// dispatch's results, so its retry/quarantine accounting must not
-    /// leak into the batch counters (the event log, by contrast, keeps
-    /// the full trace including abandoned dispatches).
-    pub(crate) fn absorb(&self, other: &SupStats) {
-        self.fam.absorb(&other.fam);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> SupStatsSnapshot {
-        SupStatsSnapshot {
-            panics_caught: self.fam.get(sc::PANICS_CAUGHT),
-            retries: self.fam.get(sc::RETRIES),
-            recovered: self.fam.get(sc::RECOVERED),
-            stalls: self.fam.get(sc::STALLS),
-            quarantined: self.fam.get(sc::QUARANTINED),
-        }
-    }
-}
-
-/// A point-in-time copy of [`SupStats`]. Plain data: subtract two
-/// snapshots field-wise to meter a region.
+/// Supervision counters of one run. Each job dispatch counts its own,
+/// and the engine adds them to the run's only when the dispatch returns:
+/// a wholesale crash abandons the dispatch's results, so its
+/// retry/quarantine accounting must not leak into the run's counters (the
+/// event log, by contrast, keeps the full trace including abandoned
+/// dispatches).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupStatsSnapshot {
+pub struct SupStats {
     /// Panics caught at the supervision boundary (every attempt counts).
     pub panics_caught: u64,
     /// Retry attempts granted after a caught panic.
@@ -162,18 +86,13 @@ pub struct SupStatsSnapshot {
     pub quarantined: u64,
 }
 
-impl fmt::Display for SupStatsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_kv(
-            f,
-            [
-                ("panics_caught", self.panics_caught),
-                ("retries", self.retries),
-                ("recovered", self.recovered),
-                ("stalls", self.stalls),
-                ("quarantined", self.quarantined),
-            ],
-        )
+impl AddAssign for SupStats {
+    fn add_assign(&mut self, other: SupStats) {
+        self.panics_caught += other.panics_caught;
+        self.retries += other.retries;
+        self.recovered += other.recovered;
+        self.stalls += other.stalls;
+        self.quarantined += other.quarantined;
     }
 }
 
@@ -240,7 +159,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// memo (`SplitCache`) is poison-recovered and inserts complete entries
 /// atomically; (c) budget counters are atomics, always consistent; (d)
 /// the engine's summary/report tables are only written after a
-/// successful return. No broken invariant outlives the unwind.
+/// successful return; (e) the job's counters are plain values — the
+/// dispatch's `SupStats` are dropped on unwind, and the `CtxStats` cell
+/// is only ever replaced whole. No broken invariant outlives the unwind.
 pub(crate) fn guard<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
     let _region = SupervisedRegion::enter();
@@ -269,7 +190,7 @@ pub(crate) fn supervise<T>(
     subject: &str,
     cfg: &SupervisorCfg,
     slice: &Budget,
-    stats: &SupStats,
+    stats: &mut SupStats,
     watchdog: Option<&Watchdog>,
     mut attempt: impl FnMut(&Budget) -> T,
 ) -> Supervised<T> {
@@ -298,23 +219,23 @@ pub(crate) fn supervise<T>(
         match outcome {
             Ok(value) => {
                 if k > 0 {
-                    stats.fam.bump(sc::RECOVERED);
+                    stats.recovered += 1;
                 }
                 return Supervised::Done(value);
             }
             Err(payload) => {
-                stats.fam.bump(sc::PANICS_CAUGHT);
+                stats.panics_caught += 1;
                 let detail = format!("attempt {k}: {}", panic_message(payload.as_ref()));
                 slice.record(
                     Event::new(LossKind::Panic, "driver/supervisor", detail).scoped(subject),
                 );
                 if k < cfg.max_retries {
-                    stats.fam.bump(sc::RETRIES);
+                    stats.retries += 1;
                 }
             }
         }
     }
-    stats.fam.bump(sc::QUARANTINED);
+    stats.quarantined += 1;
     let detail = format!(
         "all {} attempts panicked; summary pinned to \u{22a4}",
         cfg.max_retries + 1
@@ -340,7 +261,6 @@ struct WatchState {
 struct WatchShared {
     budget: Budget,
     deadline: Duration,
-    stats: SupStats,
     state: Mutex<WatchState>,
     wake: Condvar,
 }
@@ -366,11 +286,10 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// Spawns the watchdog thread for one job slice.
-    pub(crate) fn arm(budget: Budget, deadline: Duration, stats: SupStats) -> Watchdog {
+    pub(crate) fn arm(budget: Budget, deadline: Duration) -> Watchdog {
         let shared = Arc::new(WatchShared {
             budget,
             deadline,
-            stats,
             state: Mutex::new(WatchState {
                 watching: Some((GLUE_SUBJECT.to_string(), clock::now() + deadline)),
                 stop: false,
@@ -416,7 +335,6 @@ impl Watchdog {
                     shared.budget.record(
                         Event::new(LossKind::Stall, "driver/supervisor", detail).scoped(&subject),
                     );
-                    shared.stats.fam.bump(sc::STALLS);
                     shared.budget.exhaust();
                     return;
                 }
@@ -444,10 +362,18 @@ impl Watchdog {
         drop(state);
         self.shared.wake.notify_all();
     }
-}
 
-impl Drop for Watchdog {
-    fn drop(&mut self) {
+    /// Stops the watchdog thread and reports whether it fired.
+    pub(crate) fn stop(mut self) -> bool {
+        self.halt();
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .fired
+    }
+
+    fn halt(&mut self) {
         {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             state.stop = true;
@@ -459,34 +385,46 @@ impl Drop for Watchdog {
     }
 }
 
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.halt();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn success_passes_through_untouched() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::fuel(100);
-        let out = supervise("ok", &SupervisorCfg::default(), &slice, &stats, None, |b| {
-            assert!(b.tick(1));
-            42
-        });
+        let out = supervise(
+            "ok",
+            &SupervisorCfg::default(),
+            &slice,
+            &mut stats,
+            None,
+            |b| {
+                assert!(b.tick(1));
+                42
+            },
+        );
         assert!(matches!(out, Supervised::Done(42)));
-        let snap = stats.snapshot();
-        assert_eq!(snap, SupStatsSnapshot::default());
+        assert_eq!(stats, SupStats::default());
         assert!(slice.report().events.is_empty());
     }
 
     #[test]
     fn one_panic_then_recovery_is_counted_and_logged() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::fuel(1000);
         let mut calls = 0u32;
         let out = supervise(
             "flaky",
             &SupervisorCfg::default(),
             &slice,
-            &stats,
+            &mut stats,
             None,
             |_| {
                 calls += 1;
@@ -497,11 +435,10 @@ mod tests {
             },
         );
         assert!(matches!(out, Supervised::Done("fine")));
-        let snap = stats.snapshot();
-        assert_eq!(snap.panics_caught, 1);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.recovered, 1);
-        assert_eq!(snap.quarantined, 0);
+        assert_eq!(stats.panics_caught, 1);
+        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.recovered, 1);
+        assert_eq!(stats.quarantined, 0);
         let report = slice.report();
         let panics: Vec<_> = report.events_of(LossKind::Panic).collect();
         assert_eq!(panics.len(), 1);
@@ -515,14 +452,14 @@ mod tests {
 
     #[test]
     fn persistent_panics_quarantine_with_halved_fuel_attempts() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::fuel(64);
         let mut seen_fuel: Vec<Option<u64>> = Vec::new();
         let out = supervise(
             "doomed",
             &SupervisorCfg::default(),
             &slice,
-            &stats,
+            &mut stats,
             None,
             |b| -> () {
                 seen_fuel.push(b.remaining_fuel());
@@ -538,11 +475,10 @@ mod tests {
         let h2 = seen_fuel[2].expect("retry 2 is fuel-capped");
         assert!((1..=32).contains(&h1));
         assert!(h2 <= h1);
-        let snap = stats.snapshot();
-        assert_eq!(snap.panics_caught, 3);
-        assert_eq!(snap.retries, 2);
-        assert_eq!(snap.recovered, 0);
-        assert_eq!(snap.quarantined, 1);
+        assert_eq!(stats.panics_caught, 3);
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.recovered, 0);
+        assert_eq!(stats.quarantined, 1);
         let report = slice.report();
         assert!(report.degraded, "quarantine is a real precision loss");
         assert_eq!(report.events_of(LossKind::Quarantine).count(), 1);
@@ -552,32 +488,31 @@ mod tests {
 
     #[test]
     fn max_retries_zero_quarantines_on_first_panic() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::unlimited();
         let cfg = SupervisorCfg {
             max_retries: 0,
             ..SupervisorCfg::default()
         };
-        let out = supervise("strict", &cfg, &slice, &stats, None, |_| -> () {
+        let out = supervise("strict", &cfg, &slice, &mut stats, None, |_| -> () {
             panic!("once is enough")
         });
         assert!(matches!(out, Supervised::Quarantined));
-        let snap = stats.snapshot();
-        assert_eq!(snap.panics_caught, 1);
-        assert_eq!(snap.retries, 0);
-        assert_eq!(snap.quarantined, 1);
+        assert_eq!(stats.panics_caught, 1);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.quarantined, 1);
     }
 
     #[test]
     fn watchdog_exhausts_a_stalling_slice() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::unlimited();
-        let watchdog = Watchdog::arm(slice.clone(), Duration::from_millis(20), stats.clone());
+        let watchdog = Watchdog::arm(slice.clone(), Duration::from_millis(20));
         let out = supervise(
             "spinner",
             &SupervisorCfg::default(),
             &slice,
-            &stats,
+            &mut stats,
             Some(&watchdog),
             |b| {
                 // A cooperative stall: spins until cancelled, exactly like
@@ -589,8 +524,8 @@ mod tests {
             },
         );
         assert!(matches!(out, Supervised::Done("unstuck")));
-        drop(watchdog);
-        assert_eq!(stats.snapshot().stalls, 1);
+        assert!(watchdog.stop(), "the watchdog fired");
+        assert_eq!(stats, SupStats::default());
         let report = slice.report();
         let stalls: Vec<_> = report.events_of(LossKind::Stall).collect();
         assert_eq!(stalls.len(), 1);
@@ -602,22 +537,22 @@ mod tests {
 
     #[test]
     fn watchdog_stays_quiet_for_fast_procedures() {
-        let stats = SupStats::new();
+        let mut stats = SupStats::default();
         let slice = Budget::unlimited();
-        let watchdog = Watchdog::arm(slice.clone(), Duration::from_secs(60), stats.clone());
+        let watchdog = Watchdog::arm(slice.clone(), Duration::from_secs(60));
         for name in ["a", "b", "c"] {
             let out = supervise(
                 name,
                 &SupervisorCfg::default(),
                 &slice,
-                &stats,
+                &mut stats,
                 Some(&watchdog),
                 |_| name,
             );
             assert!(matches!(out, Supervised::Done(_)));
         }
-        drop(watchdog);
-        assert_eq!(stats.snapshot().stalls, 0);
+        assert!(!watchdog.stop(), "the watchdog stayed quiet");
+        assert_eq!(stats, SupStats::default());
         assert!(!slice.is_exhausted());
     }
 

@@ -4,8 +4,7 @@
 //! across thread counts, budget degradation, and incremental reuse of
 //! context specializations.
 
-use cai_core::cache::cs;
-use cai_core::{AbstractDomain, Budget, Cache, LogicalProduct};
+use cai_core::{AbstractDomain, Budget, LogicalProduct};
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
@@ -229,7 +228,9 @@ fn context_sensitive_runs_are_identical_across_thread_counts() {
             let vb: Vec<bool> = b.assertions.iter().map(|o| o.verified).collect();
             assert_eq!(va, vb, "verdicts differ for {}", a.name);
         }
+        assert_eq!(runs[0].ctx, other.ctx, "context counters differ");
     }
+    assert!(runs[0].ctx.contexts_created > 0);
 }
 
 #[test]
@@ -265,6 +266,7 @@ fn cached_context_specializations_are_reused_across_runs() {
     let driver = affine();
     let mut cache = SummaryCache::new();
     let cold = driver.analyze_with_cache(&module(&src_v(0)), &mut cache);
+    assert_eq!((cold.reused, cold.recomputed), (0, 3));
     assert_eq!(cold.ctx.contexts_created, 2);
     assert_eq!(cache.context_count(), 2);
 
@@ -283,13 +285,6 @@ fn cached_context_specializations_are_reused_across_runs() {
     assert_eq!(inc.ctx.contexts_created, 0);
 
     assert_eq!(cache.context_count(), 2);
-    let stats = cache.stats();
-    assert_eq!(stats.get(cs::HITS), 3 + 2);
-    assert_eq!(stats.get(cs::MISSES), 3 + 1);
-    assert!(
-        stats.get(cs::EVICTIONS) >= 1,
-        "the edited caller's entry is evicted"
-    );
 }
 
 #[test]

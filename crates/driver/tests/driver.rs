@@ -304,39 +304,6 @@ fn disabled_summary_cache_persists_nothing() {
 }
 
 #[test]
-fn summary_cache_unified_trait_surface() {
-    use cai_core::{Cache, StoreOutcome};
-    let m = module(
-        "proc f(a) { ret := a + 1; }
-         proc g(b) { r := call f(b); ret := r; }",
-    );
-    let mut cache = SummaryCache::new();
-    affine().analyze_with_cache(&m, &mut cache);
-    assert_eq!(Cache::len(&cache), 2);
-
-    // Verified lookup: present key round-trips, absent key misses.
-    let entry = Cache::lookup(&cache, &"f".to_string()).expect("f is cached");
-    assert_eq!(entry.report().name, "f");
-    assert!(Cache::lookup(&cache, &"missing".to_string()).is_none());
-
-    // The checksum is content-derived: invalidating an entry changes it.
-    let sum_before = Cache::checksum(&cache);
-    assert!(Cache::invalidate(&mut cache, &"f".to_string()));
-    assert!(!Cache::invalidate(&mut cache, &"f".to_string()));
-    assert_ne!(Cache::checksum(&cache), sum_before);
-
-    // Degradation-aware invalidation: a degraded store is dropped.
-    assert_eq!(
-        Cache::store(&mut cache, "f".to_string(), entry, true),
-        StoreOutcome::SkippedDegraded
-    );
-    assert!(Cache::lookup(&cache, &"f".to_string()).is_none());
-
-    Cache::clear(&mut cache);
-    assert!(Cache::is_empty(&cache));
-}
-
-#[test]
 fn bottom_summaries_mark_unreachable_exits() {
     let m = module(
         "proc stuck(a) { assume(0 = 1); ret := a; }

@@ -36,8 +36,12 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
         ));
     }
     s.push_str(&format!(
-        "degraded={} exhausted={} fuel={} sup={:?}\n",
-        a.degradation.degraded, a.degradation.exhausted, a.degradation.fuel_spent, a.supervision
+        "degraded={} exhausted={} fuel={} sup={:?} ctx={:?}\n",
+        a.degradation.degraded,
+        a.degradation.exhausted,
+        a.degradation.fuel_spent,
+        a.supervision,
+        a.ctx
     ));
     for e in &a.degradation.events {
         s.push_str(&format!("{e}\n"));

@@ -5,8 +5,7 @@
 //! rejected and recomputed — all without a single process abort (every
 //! test completing *is* the zero-abort assertion).
 
-use cai_core::cache::cs;
-use cai_core::{Budget, Cache, ChaosConfig, ChaosDomain, LogicalProduct, LossKind};
+use cai_core::{Budget, ChaosConfig, ChaosDomain, LogicalProduct, LossKind};
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
@@ -60,8 +59,8 @@ fn batch(n: usize) -> Module {
 }
 
 /// Everything observable about a run, rendered to one comparable string:
-/// reports (summary, verdicts, flags), supervision counters, and the
-/// event log. Two runs with equal fingerprints behaved identically.
+/// reports (summary, verdicts, flags), supervision and context
+/// counters, and the event log. Two runs with equal fingerprints behaved identically.
 fn fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -72,8 +71,8 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
         ));
     }
     s.push_str(&format!(
-        "reused={} recomputed={} sup={:?}\n",
-        a.reused, a.recomputed, a.supervision
+        "reused={} recomputed={} sup={:?} ctx={:?}\n",
+        a.reused, a.recomputed, a.supervision, a.ctx
     ));
     s.push_str(&format!(
         "degraded={} exhausted={} fuel={}\n",
@@ -262,11 +261,6 @@ fn corrupted_cache_entries_are_rejected_and_recomputed() {
     let driver = Driver::new(|_| product());
     let second = driver.analyze_with_cache(&m, &mut cache);
     assert_eq!(
-        cache.stats().get(cs::CORRUPTIONS),
-        1,
-        "the corrupted entry was rejected"
-    );
-    assert_eq!(
         (second.reused, second.recomputed),
         (m.procs.len() - 1, 1),
         "exactly the rejected procedure recomputes"
@@ -283,11 +277,6 @@ fn corrupted_cache_entries_are_rejected_and_recomputed() {
     // The refreshed entry carries a valid checksum again.
     let third = driver.analyze_with_cache(&m, &mut cache);
     assert_eq!((third.reused, third.recomputed), (m.procs.len(), 0));
-    assert_eq!(
-        cache.stats().get(cs::CORRUPTIONS),
-        1,
-        "no further rejections"
-    );
     // A run reports only its own events, even on the same driver: the
     // rejection belongs to the second run, not to the warm ones after it.
     assert_eq!(corruption(&third), 0, "the third run rejected nothing");

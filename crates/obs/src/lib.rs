@@ -13,14 +13,11 @@
 //!
 //! There is no process-wide counter registry: every count belongs to the
 //! run that made it. Fuel and events are on the run's budget
-//! (`cai_core::DegradationReport`); operation counts are on the run's
-//! stats (`JoinStats`, `CacheStats`, `OpStats`, `CtxStats`, `SupStats`).
+//! (`cai_core::DegradationReport`); operation counts are plain fields of
+//! the run's stats (`JoinStats`, `OpStats`, `CtxStats`, `SupStats`).
 //!
 //! The pieces:
 //!
-//! * [`family`] — [`CounterFamily`], a fixed-name block of atomic counters.
-//!   This is the shared primitive under the `JoinStats` / `CacheStats` /
-//!   `CtxStats` / `SupStats` facades.
 //! * [`trace`] — a span tracer ([`span!`] / [`spanned!`] / [`instant!`])
 //!   writing to per-thread ring buffers (no global mutex on the hot path) and
 //!   exporting Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
@@ -38,12 +35,10 @@
 //! door.
 
 pub mod clock;
-pub mod family;
 pub mod metrics;
 pub mod provenance;
 pub mod trace;
 
-pub use family::{write_kv, CounterFamily, FamilySnapshot};
 pub use metrics::escape_metric_name;
 pub use provenance::{BlameEntry, BlameTable, Event, LossKind};
 pub use trace::{EventKind, SpanGuard, Trace, TraceEvent};

@@ -56,8 +56,8 @@ fn test_module(n: usize) -> Module {
 }
 
 /// Every observable fact of a run, as one comparable string: summaries
-/// (including their rendering), verdicts, flags, supervision counters,
-/// and the event log.
+/// (including their rendering), verdicts, flags, supervision and context
+/// counters, and the event log.
 fn fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -67,7 +67,7 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
             r.name, r.summary, r.diverged, r.quarantined
         ));
     }
-    s.push_str(&format!("sup={:?}\n", a.supervision));
+    s.push_str(&format!("sup={:?} ctx={:?}\n", a.supervision, a.ctx));
     for e in &a.degradation.events {
         s.push_str(&format!("{e}\n"));
     }
