@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
 # Offline CI gate for the workspace. Run from the repo root.
 #
-#   1. formatting            (cargo fmt --check)
-#   2. lint, library code    (clippy, warnings + unwrap/panic-free libs)
-#   3. lint, all targets     (clippy, warnings; tests/bins may unwrap)
-#   4. release build
-#   5. test suite
+#   1. supervision boundary  (catch_unwind only in the driver's supervisor)
+#   2. observability         (eprintln!/Instant::now only in cai-obs and
+#                             cai-bench)
+#   3. formatting            (cargo fmt --check)
+#   4. lint, library code    (clippy, warnings + unwrap/panic-free libs)
+#   5. lint, all targets     (clippy, warnings; tests/bins may unwrap)
+#   6. release build
+#   7. test suite
+#   8. driver tests, release build
+#   9. report binaries       (paper_eval --blame, paper_eval complexity
+#                             compare, driver_eval --smoke and its report)
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies and must keep building in a network-less container.
@@ -57,13 +63,15 @@ cargo test -q --workspace --offline
 echo "== driver tests (release) =="
 cargo test -q -p cai-driver --release --offline
 
-echo "== report binaries smoke (paper_eval --blame, driver_eval --smoke) =="
+echo "== report binaries smoke (paper_eval --blame, paper_eval complexity compare, driver_eval --smoke) =="
 # The guarantees themselves are pinned by the workspace tests above; this
-# step keeps the report printers and their artifacts exercised. One
-# driver_eval run covers the smoke gates (determinism, warm cache,
-# one-procedure edit), the blame legs and their JSON export, the Chrome
-# trace, and the run report.
+# step keeps the report printers and their artifacts exercised. The
+# complexity and compare items print the EXPERIMENTS.md section 4.4 and
+# section 7 tables. One driver_eval run covers the smoke gates
+# (determinism, warm cache, one-procedure edit), the blame legs and their
+# JSON export, the Chrome trace, and the run report.
 cargo run --release -p cai-bench --bin paper_eval --offline -- --blame
+cargo run --release -p cai-bench --bin paper_eval --offline -- complexity compare
 blame_json=$(mktemp /tmp/cai-blame.XXXXXX.json)
 obs_trace=$(mktemp /tmp/cai-trace.XXXXXX.json)
 obs_log=$(mktemp /tmp/cai-obs-report.XXXXXX.log)

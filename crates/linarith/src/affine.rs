@@ -3,11 +3,11 @@
 //! Müller-Olm & Seidl [18]).
 
 use crate::expr::AffExpr;
-use crate::matrix::{null_space, Matrix};
+use crate::matrix::{rref, Matrix};
 use cai_core::{AbstractDomain, Partition, TheoryProps};
 use cai_num::Rat;
 use cai_term::{Atom, Conj, Sig, Term, TheoryTag, Var, VarSet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// An element of the affine-equalities domain: an affine subspace of
@@ -67,9 +67,8 @@ impl AffineElem {
             // Rows are non-constant by construction; skip rather than panic
             // if the invariant is ever violated.
             let Some(p) = row.leading_var() else { continue };
-            let c = out.coeff(p);
-            if !c.is_zero() {
-                out.add_scaled(&-c, row);
+            if let Some(c) = out.coeff_ref(p).map(|c| -c) {
+                out.add_scaled(&c, row);
             }
         }
         out
@@ -84,9 +83,8 @@ impl AffineElem {
         // Reduce by existing rows.
         for row in rows.iter() {
             let Some(p) = row.leading_var() else { continue };
-            let c = e.coeff(p);
-            if !c.is_zero() {
-                e.add_scaled(&-c, row);
+            if let Some(c) = e.coeff_ref(p).map(|c| -c) {
+                e.add_scaled(&c, row);
             }
         }
         if e.is_zero() {
@@ -100,9 +98,8 @@ impl AffineElem {
         let Some(pivot) = e.leading_var() else { return };
         // Eliminate the new pivot from existing rows.
         for row in rows.iter_mut() {
-            let c = row.coeff(pivot);
-            if !c.is_zero() {
-                row.add_scaled(&-c, &e);
+            if let Some(c) = row.coeff_ref(pivot).map(|c| -c) {
+                row.add_scaled(&c, &e);
             }
         }
         // The pivot was just eliminated from every row, so the search
@@ -122,32 +119,39 @@ impl AffineElem {
         out
     }
 
-    /// The generator representation over the universe `u`: a particular
-    /// point and a basis of direction vectors (all as `Var → Rat` maps;
-    /// absent entries are zero).
-    fn generators(&self, u: &VarSet) -> (BTreeMap<Var, Rat>, Vec<BTreeMap<Var, Rat>>) {
+    /// The generator representation as rows of the hull's condition
+    /// matrix over `vars` (ascending; column 0 is the constant and
+    /// `vars[i]` is column `vars.len() - i`): the particular point, with
+    /// every free variable 0 and the pivots forced, and a 1 in column 0;
+    /// then one direction per free variable of `vars`, each 0 in column 0.
+    fn generators(&self, vars: &[Var]) -> (Vec<Rat>, Vec<Vec<Rat>>) {
+        let n = vars.len();
+        let col = |v: Var| vars.binary_search(&v).ok().map(|i| n - i);
         let rows = self.rows();
-        let pivots: VarSet = rows.iter().filter_map(AffExpr::leading_var).collect();
-        // Particular point: all free variables 0, pivots forced.
-        let mut point = BTreeMap::new();
+        let mut point = vec![Rat::zero(); n + 1];
+        point[0] = Rat::one();
+        let mut is_pivot = vec![false; n + 1];
         for r in rows {
-            let Some(p) = r.leading_var() else { continue };
-            let v = -r.constant_part().clone();
-            if !v.is_zero() {
-                point.insert(p, v);
-            }
+            // Every variable of the element is in `vars`.
+            let Some(c) = r.leading_var().and_then(col) else {
+                continue;
+            };
+            point[c] = -r.constant_part();
+            is_pivot[c] = true;
         }
-        // One direction per free variable of the universe.
         let mut basis = Vec::new();
-        for &f in u.iter().filter(|v| !pivots.contains(v)) {
-            let mut dir = BTreeMap::new();
-            dir.insert(f, Rat::one());
+        for (i, &f) in vars.iter().enumerate() {
+            if is_pivot[n - i] {
+                continue;
+            }
+            let mut dir = vec![Rat::zero(); n + 1];
+            dir[n - i] = Rat::one();
             for r in rows {
-                let c = r.coeff(f);
-                if !c.is_zero() {
-                    let Some(p) = r.leading_var() else { continue };
-                    dir.insert(p, -c);
-                }
+                let Some(a) = r.coeff_ref(f) else { continue };
+                let Some(c) = r.leading_var().and_then(col) else {
+                    continue;
+                };
+                dir[c] = -a;
             }
             basis.push(dir);
         }
@@ -156,6 +160,18 @@ impl AffineElem {
 
     /// The affine hull of two elements (the join in the logical lattice of
     /// linear equalities).
+    ///
+    /// The hull's equalities `Σ αᵥ·v + c = 0` are the `(c, α)` that hold
+    /// at the particular point of `self` and vanish on every direction of
+    /// either element and on the step between their points: the null
+    /// space of the condition matrix, whose columns are `c` and then the
+    /// variables in descending order. Column `c` is always a pivot of its
+    /// RREF (the point row has a 1 there). Each free column `x_f` gives
+    /// one null vector: `x_f` with coefficient 1, minus `a[r][f]` times
+    /// the pivot of each row `r`. Such an entry is nonzero only if the
+    /// pivot lies left of `x_f`, i.e. is `c` or a larger variable, and the
+    /// vector is zero at every other free column, so taken in ascending
+    /// `x_f` these vectors already are the hull's canonical RREF.
     pub fn hull(&self, other: &AffineElem) -> AffineElem {
         if self.is_bottom() {
             return other.clone();
@@ -165,48 +181,35 @@ impl AffineElem {
         }
         let mut u = self.vars();
         u.extend(other.vars());
-        let order: Vec<Var> = u.iter().copied().collect();
-        let n = order.len();
-        let (p1, mut dirs) = self.generators(&u);
-        let (p2, dirs2) = other.generators(&u);
-        dirs.extend(dirs2);
-        // Direction p2 - p1 connects the two subspaces.
-        let mut connect = BTreeMap::new();
-        for &v in &order {
-            let d = &p2.get(&v).cloned().unwrap_or_else(Rat::zero)
-                - &p1.get(&v).cloned().unwrap_or_else(Rat::zero);
-            if !d.is_zero() {
-                connect.insert(v, d);
+        let vars: Vec<Var> = u.into_iter().collect();
+        let n = vars.len();
+        let (p1, dirs1) = self.generators(&vars);
+        let (p2, dirs2) = other.generators(&vars);
+        // Direction p2 - p1 connects the two subspaces (0 in column c).
+        let connect: Vec<Rat> = p2.iter().zip(&p1).map(|(b, a)| b - a).collect();
+        let mut m: Matrix = Vec::with_capacity(dirs1.len() + dirs2.len() + 2);
+        m.push(p1);
+        m.extend(dirs1);
+        m.extend(dirs2);
+        m.push(connect);
+        let pivots = rref(&mut m);
+        debug_assert_eq!(pivots.first(), Some(&0), "column c is a pivot");
+        let mut is_pivot = vec![false; n + 1];
+        for &p in &pivots {
+            is_pivot[p] = true;
+        }
+        let mut rows = Vec::with_capacity(n + 1 - pivots.len());
+        for f in (1..=n).rev().filter(|&f| !is_pivot[f]) {
+            let mut e = AffExpr::constant(-&m[0][f]);
+            e.add_var(vars[n - f], &Rat::one());
+            for (row, &p) in m.iter().zip(&pivots).skip(1) {
+                if !row[f].is_zero() {
+                    e.add_var(vars[n - p], &-&row[f]);
+                }
             }
+            rows.push(e);
         }
-        dirs.push(connect);
-        // Find all (α, c) with α·p1 + c = 0 and α·dir = 0 for every dir:
-        // the null space of the condition matrix over unknowns (α_v.., c).
-        let mut m: Matrix = Vec::with_capacity(dirs.len() + 1);
-        let mut prow: Vec<Rat> = order
-            .iter()
-            .map(|v| p1.get(v).cloned().unwrap_or_else(Rat::zero))
-            .collect();
-        prow.push(Rat::one()); // coefficient of c
-        m.push(prow);
-        for dir in &dirs {
-            let mut row: Vec<Rat> = order
-                .iter()
-                .map(|v| dir.get(v).cloned().unwrap_or_else(Rat::zero))
-                .collect();
-            row.push(Rat::zero());
-            m.push(row);
-        }
-        let alphas = null_space(&m, n + 1);
-        let mut out = AffineElem::top();
-        for alpha in alphas {
-            let mut e = AffExpr::constant(alpha[n].clone());
-            for (i, &v) in order.iter().enumerate() {
-                e.add_var(v, &alpha[i]);
-            }
-            out.insert(&e);
-        }
-        out
+        AffineElem { rows: Some(rows) }
     }
 
     /// Projects out the variables of `vs` (existential quantification).
@@ -217,19 +220,17 @@ impl AffineElem {
         let mut rows: Vec<AffExpr> = self.rows().to_vec();
         for &v in vs {
             // Find a row mentioning v; use it to eliminate v elsewhere.
-            let Some(i) = rows.iter().position(|r| !r.coeff(v).is_zero()) else {
-                continue;
-            };
-            let row = rows.remove(i);
-            let def = {
-                // v = -(row - c·v)/c
-                let c = row.coeff(v);
-                let mut rest = row.clone();
-                rest.add_var(v, &-c.clone());
-                rest.scale(&-c.recip())
-            };
+            let found = rows
+                .iter()
+                .enumerate()
+                .find_map(|(i, r)| Some((i, r.coeff_ref(v)?.clone())));
+            let Some((i, c)) = found else { continue };
+            // v = -(row - c·v)/c
+            let mut def = rows.remove(i);
+            def.add_var(v, &-&c);
+            let def = def.scale(&-c.recip());
             for r in rows.iter_mut() {
-                *r = r.substitute(v, &def);
+                r.substitute(v, &def);
             }
         }
         AffineElem::from_rows(rows)
@@ -309,6 +310,21 @@ fn atom_difference(atom: &Atom) -> Option<AffExpr> {
     }
 }
 
+/// Meets `e` with `atom` in place.
+fn meet_in_place(e: &mut AffineElem, atom: &Atom) {
+    match (atom, atom_difference(atom)) {
+        (Atom::Eq(..), Some(diff)) => e.insert(&diff),
+        // A constant contradiction such as `1 <= 0` is bottom.
+        (Atom::Le(..), Some(diff)) if diff.is_constant() && diff.constant_part().is_positive() => {
+            *e = AffineElem::bottom();
+        }
+        // The equalities-only lattice cannot represent any other
+        // inequality, nor out-of-signature and non-linear atoms; dropping
+        // the conjunct is the sound over-approximation.
+        _ => {}
+    }
+}
+
 impl AbstractDomain for AffineEq {
     type Elem = AffineElem;
 
@@ -333,26 +349,22 @@ impl AbstractDomain for AffineEq {
     }
 
     fn meet_atom(&self, e: &AffineElem, atom: &Atom) -> AffineElem {
-        match (atom, atom_difference(atom)) {
-            (Atom::Eq(..), Some(diff)) => {
-                let mut out = e.clone();
-                out.insert(&diff);
-                out
+        let mut out = e.clone();
+        meet_in_place(&mut out, atom);
+        out
+    }
+
+    /// One clone of `e`, then every atom conjoined in place (the default
+    /// clones the whole element once per atom).
+    fn meet_all(&self, e: &AffineElem, atoms: &[Atom]) -> AffineElem {
+        let mut out = e.clone();
+        for atom in atoms {
+            if out.is_bottom() {
+                break;
             }
-            // The equalities-only lattice cannot represent an inequality;
-            // dropping it is the sound over-approximation — except that a
-            // constant contradiction (e.g. 1 <= 0) still yields bottom.
-            (Atom::Le(..), Some(diff)) => {
-                if diff.is_constant() && diff.constant_part().is_positive() {
-                    AffineElem::bottom()
-                } else {
-                    e.clone()
-                }
-            }
-            // Out-of-signature and non-linear atoms cannot be represented;
-            // dropping the conjunct is the sound over-approximation.
-            _ => e.clone(),
+            meet_in_place(&mut out, atom);
         }
+        out
     }
 
     fn implies_atom(&self, e: &AffineElem, atom: &Atom) -> bool {
@@ -381,11 +393,20 @@ impl AbstractDomain for AffineEq {
         if e.is_bottom() {
             return p;
         }
-        // Two variables are equal iff their canonical residues coincide.
-        let mut by_canon: BTreeMap<String, Var> = BTreeMap::new();
+        // Two variables are equal iff their canonical residues coincide. In
+        // RREF a pivot's residue is its row without the pivot, negated; a
+        // free variable is its own residue.
+        let rows = e.rows();
+        let mut by_canon: HashMap<AffExpr, Var> = HashMap::new();
         for v in e.vars() {
-            let canon = e.reduce(&AffExpr::var(v));
-            let key = canon.to_term().to_string();
+            let key = match rows.binary_search_by(|r| r.leading_var().cmp(&Some(v))) {
+                Ok(i) => {
+                    let mut canon = AffExpr::var(v);
+                    canon.add_scaled(&-Rat::one(), &rows[i]);
+                    canon
+                }
+                Err(_) => AffExpr::var(v),
+            };
             match by_canon.get(&key) {
                 Some(&first) => {
                     p.union(first, v);
@@ -405,13 +426,13 @@ impl AbstractDomain for AffineEq {
         // Fast path: the canonical residue of `y` may already avoid the
         // forbidden variables (common when `y` is a pivot).
         let canon = e.reduce(&AffExpr::var(y));
-        if canon.coeff(y).is_zero() && canon.iter().all(|(v, _)| *v != y && !avoid.contains(v)) {
+        if canon.iter().all(|(v, _)| *v != y && !avoid.contains(v)) {
             return Some(canon.to_term());
         }
         let mut elim = avoid.clone();
         elim.remove(&y);
         let projected = e.project(&elim);
-        let row = projected.rows().iter().find(|r| !r.coeff(y).is_zero())?;
+        let row = projected.rows().iter().find(|r| r.coeff_ref(y).is_some())?;
         let t = row.solve_for(y);
         debug_assert!(!t.vars().contains(&y));
         Some(t)

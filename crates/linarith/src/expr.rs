@@ -3,6 +3,7 @@
 
 use cai_num::Rat;
 use cai_term::{LinExpr, Term, TermKind, Var, VarSet};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -12,7 +13,7 @@ use std::fmt;
 /// Unlike [`LinExpr`], whose atoms may be arbitrary non-arithmetic terms,
 /// an `AffExpr` is the *pure* linear-arithmetic fragment: converting a term
 /// that still contains foreign function symbols fails.
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AffExpr {
     coeffs: BTreeMap<Var, Rat>,
     konst: Rat,
@@ -91,16 +92,31 @@ impl AffExpr {
         if coeff.is_zero() {
             return;
         }
-        let entry = self.coeffs.entry(v).or_insert_with(Rat::zero);
-        *entry = &*entry + coeff;
-        if entry.is_zero() {
-            self.coeffs.remove(&v);
+        match self.coeffs.entry(v) {
+            Entry::Vacant(slot) => {
+                slot.insert(coeff.clone());
+            }
+            Entry::Occupied(mut slot) => {
+                let sum = slot.get() + coeff;
+                if sum.is_zero() {
+                    slot.remove();
+                } else {
+                    *slot.get_mut() = sum;
+                }
+            }
         }
     }
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> Rat {
         self.coeffs.get(&v).cloned().unwrap_or_else(Rat::zero)
+    }
+
+    /// The coefficient of `v`, or `None` if it is zero. Unlike
+    /// [`coeff`](AffExpr::coeff) this never allocates: a zero coefficient
+    /// is never stored.
+    pub fn coeff_ref(&self, v: Var) -> Option<&Rat> {
+        self.coeffs.get(&v)
     }
 
     /// The constant part.
@@ -222,16 +238,12 @@ impl AffExpr {
         rest.scale(&-c.recip()).to_term()
     }
 
-    /// Substitutes `v := e` (where `e` is the affine definition of `v`).
-    pub fn substitute(&self, v: Var, e: &AffExpr) -> AffExpr {
-        let c = self.coeff(v);
-        if c.is_zero() {
-            return self.clone();
+    /// Substitutes `v := e` in place (where `e` is the affine definition
+    /// of `v`); a no-op when `v` does not occur.
+    pub fn substitute(&mut self, v: Var, e: &AffExpr) {
+        if let Some(c) = self.coeffs.remove(&v) {
+            self.add_scaled(&c, e);
         }
-        let mut out = self.clone();
-        out.add_var(v, &-c.clone());
-        out.add_scaled(&c, e);
-        out
     }
 }
 
@@ -253,9 +265,8 @@ pub fn preferential_definitions(
     for row in rows {
         let mut r = row.clone();
         for (p, er) in &echelon {
-            let c = r.coeff(*p);
-            if !c.is_zero() {
-                r.add_scaled(&-c, er);
+            if let Some(c) = r.coeff_ref(*p).map(|c| -c) {
+                r.add_scaled(&c, er);
             }
         }
         let Some(pivot) = r.vars().into_iter().min_by_key(prefer) else {
@@ -263,9 +274,8 @@ pub fn preferential_definitions(
         };
         let r = r.scale(&r.coeff(pivot).recip());
         for (_, er) in echelon.iter_mut() {
-            let c = er.coeff(pivot);
-            if !c.is_zero() {
-                er.add_scaled(&-c, &r);
+            if let Some(c) = er.coeff_ref(pivot).map(|c| -c) {
+                er.add_scaled(&c, &r);
             }
         }
         echelon.push((pivot, r));
@@ -327,7 +337,11 @@ mod tests {
     #[test]
     fn substitute_definition() {
         // x + y, with x := z - 1  =>  z - 1 + y
-        let e = expr("x + y").substitute(Var::named("x"), &expr("z - 1"));
+        let mut e = expr("x + y");
+        e.substitute(Var::named("x"), &expr("z - 1"));
+        assert_eq!(e, expr("y + z - 1"));
+        // Substituting an absent variable changes nothing.
+        e.substitute(Var::named("x"), &expr("w"));
         assert_eq!(e, expr("y + z - 1"));
     }
 

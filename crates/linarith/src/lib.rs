@@ -25,5 +25,5 @@ mod poly;
 pub use affine::{AffineElem, AffineEq};
 pub use expr::{preferential_definitions, AffExpr, NotAffineError};
 pub use fm::{eliminate, implies_le, infeasible, project, simplify, Ineq};
-pub use matrix::{null_space, rref, Matrix};
+pub use matrix::{rref, Matrix};
 pub use poly::{PolyElem, Polyhedra};

@@ -1,8 +1,8 @@
-//! Dense exact-rational matrices: reduced row-echelon form and null spaces.
+//! Dense exact-rational matrices: reduced row-echelon form.
 //!
-//! Used by the affine-equalities domain to convert between the constraint
-//! representation (rows of the RREF) and the generator representation
-//! (particular solution + basis) when computing affine hulls (Karr's join).
+//! Used by the affine-equalities domain to row-reduce the condition matrix
+//! of an affine hull (Karr's join), whose null space is the hull's
+//! equalities.
 
 use cai_num::Rat;
 
@@ -25,18 +25,24 @@ pub fn rref(m: &mut Matrix) -> Vec<usize> {
             continue;
         };
         m.swap(r, sel);
+        // Row r is zero left of column c, and a zero entry leaves the
+        // update unchanged, so only its nonzero entries from c on are used.
         let inv = m[r][c].recip();
-        for x in &mut m[r] {
-            *x = &*x * &inv;
+        for x in &mut m[r][c..] {
+            if !x.is_zero() {
+                *x = &*x * &inv;
+            }
         }
         for i in 0..rows {
             if i != r && !m[i][c].is_zero() {
                 let f = m[i][c].clone();
                 // Indexing: the update reads row r while writing row i.
                 #[allow(clippy::needless_range_loop)]
-                for j in 0..cols {
-                    let delta = &m[r][j] * &f;
-                    m[i][j] = &m[i][j] - &delta;
+                for j in c..cols {
+                    if !m[r][j].is_zero() {
+                        let delta = &m[r][j] * &f;
+                        m[i][j] = &m[i][j] - &delta;
+                    }
                 }
             }
         }
@@ -48,25 +54,6 @@ pub fn rref(m: &mut Matrix) -> Vec<usize> {
     }
     m.truncate(r);
     pivots
-}
-
-/// A basis of the null space `{x | m·x = 0}` for a matrix with `cols`
-/// columns. Each returned vector has length `cols`.
-pub fn null_space(m: &Matrix, cols: usize) -> Vec<Vec<Rat>> {
-    let mut a = m.clone();
-    let pivots = rref(&mut a);
-    let free: Vec<usize> = (0..cols).filter(|c| !pivots.contains(c)).collect();
-    let mut basis = Vec::with_capacity(free.len());
-    for &f in &free {
-        let mut v = vec![Rat::zero(); cols];
-        v[f] = Rat::one();
-        for (row, &p) in a.iter().zip(&pivots) {
-            // pivot value = -coefficient of the free column in this row.
-            v[p] = -row[f].clone();
-        }
-        basis.push(v);
-    }
-    basis
 }
 
 #[cfg(test)]
@@ -97,35 +84,5 @@ mod tests {
         let pivots = rref(&mut m);
         assert_eq!(pivots, vec![0, 1]);
         assert_eq!(m, mat(&[&[1, 0], &[0, 1]]));
-    }
-
-    #[test]
-    fn null_space_solves() {
-        // x + y - z = 0, y + z = 0  →  basis for one free variable.
-        let m = mat(&[&[1, 1, -1], &[0, 1, 1]]);
-        let basis = null_space(&m, 3);
-        assert_eq!(basis.len(), 1);
-        for b in &basis {
-            for row in &m {
-                let dot = row
-                    .iter()
-                    .zip(b)
-                    .fold(Rat::zero(), |acc, (a, x)| &acc + &(a * x));
-                assert!(dot.is_zero());
-            }
-        }
-    }
-
-    #[test]
-    fn null_space_of_zero_matrix_is_full() {
-        let m: Matrix = vec![vec![Rat::zero(); 4]];
-        let basis = null_space(&m, 4);
-        assert_eq!(basis.len(), 4);
-    }
-
-    #[test]
-    fn null_space_of_full_rank_is_empty() {
-        let m = mat(&[&[1, 0], &[0, 1]]);
-        assert!(null_space(&m, 2).is_empty());
     }
 }

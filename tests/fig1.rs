@@ -10,7 +10,7 @@
 //! | reduced product                | 3 (a, b, c)         |
 //! | logical product                | 4 (all)             |
 
-use cai_core::{AbstractDomain, LogicalProduct, ReducedProduct};
+use cai_core::{AbstractDomain, JoinStats, LogicalProduct, ReducedProduct};
 use cai_interp::{herbrand_view, parse_program, Analyzer, Program};
 use cai_linarith::AffineEq;
 use cai_term::parse::Vocab;
@@ -93,4 +93,28 @@ fn logical_product_proves_all_four() {
     let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
     let got = verdicts(&d, &p, false);
     assert_eq!(got, [true, true, true, true]);
+}
+
+/// The logical product's work and result on Figure 1, exactly: a change
+/// that makes a component operator cheaper must not move any of them,
+/// and one that drops a fact (e.g. joining over fewer pair variables)
+/// changes the loop count or the exit state.
+#[test]
+fn logical_product_work_and_exit_state_are_pinned() {
+    let vocab = Vocab::standard();
+    let p = program(&vocab);
+    let stats = JoinStats::new();
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_stats(stats.clone());
+    let analysis = Analyzer::new(&d).run(&p);
+    let s = stats.snapshot();
+    assert_eq!(analysis.loop_iterations, [3]);
+    assert_eq!(
+        (s.pairs_generated, s.saturation_rounds, s.qsat_rounds),
+        (583, 141, 88)
+    );
+    assert_eq!(analysis.degradation.fuel_spent, 45);
+    assert_eq!(
+        analysis.exit.to_string(),
+        "a1 = 1/2*a2 & c1 = c2 & b2 = F(b1) & d2 = F(d1 + 1) & b2 + 1 <= b1 + 1"
+    );
 }
