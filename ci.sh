@@ -12,6 +12,8 @@
 #   8. driver tests, release build
 #   9. report binaries       (paper_eval --blame, paper_eval complexity
 #                             compare, driver_eval --smoke and its report)
+#  10. ledger gate           (perfbench work counters against the
+#                             committed benchmark ledger)
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies and must keep building in a network-less container.
@@ -91,5 +93,27 @@ for line in "  fuel_spent=" "dropped_events=" "  ctx: " "  supervision: " \
         echo "obs report is missing '$line'"; exit 1; }
 done
 rm -f "$blame_json" "$obs_trace" "$obs_log"
+
+echo "== ledger gate (perfbench --trace 1 work counters) =="
+# The work counters of a traced perfbench pass (every count, byte and
+# ratio row but uf.allocs and logical.allocs, which vary from run to run)
+# repeat exactly on the two workloads whose work cannot depend on the
+# schedule: paper_programs runs on one thread, and module_cold gives every
+# driver job its own split cache. ledger_check compares each with the
+# ledger's row for the same workload and seed. A change that moves a
+# counter on purpose commits a fresh ledger (./bench_ledger.sh) and
+# points `ledger` at it.
+ledger=BENCH_942bf43-dirty.json
+# Every perfbench build rewrites perfbench/Cargo.lock; restore the
+# committed one on exit.
+lock_backup=$(mktemp)
+cp perfbench/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT
+for workload in paper_programs module_cold; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 \
+        | cargo run --release --offline --quiet -p cai-bench --bin ledger_check -- \
+            "$ledger" "$workload" 1
+done
 
 echo "CI OK"

@@ -9,18 +9,20 @@
 //!   collision reads as a miss, never as a wrong value;
 //! - **degraded values are never stored**: a split computed under a
 //!   starved budget, or a quarantined summary, is returned but not kept,
-//!   so it cannot poison a later, better-funded run;
-//! - **wholesale clear**: a full table is cleared to make room (the
-//!   working sets are small and cyclic, so no per-entry bookkeeping is
-//!   kept); capacity 0 disables storage.
+//!   so it cannot poison a later, better-funded run.
+//!
+//! Only the split cache has a capacity: a full table is cleared wholesale
+//! to make room (the working sets are small and cyclic, so no per-entry
+//! bookkeeping is kept), and capacity 0 disables it. The summary cache
+//! holds exactly the procedures of the last module it was run on.
 //!
 //! Their counts are outputs of the run that made them: split-cache hits,
 //! misses, skips and evictions in the product's `JoinStats`, summary reuse
 //! in the driver's `ModuleAnalysis::{reused, recomputed}`, and rejected or
 //! skipped summaries as events on the run's budget.
 //!
-//! This module holds [`CacheConfig`], the one knob block threaded through
-//! `AnalysisConfig`, and [`TermMemo`], the sub-structural layer beneath
+//! This module holds [`CacheConfig`], the split cache's capacities, and
+//! [`TermMemo`], the sub-structural layer beneath
 //! the split cache — a [`cai_term::PurifyMemo`] keyed per canonicalized
 //! alien term (via `cai_term::fingerprint`), so two conjunctions sharing
 //! alien terms share their purification work and their fresh names.
@@ -36,14 +38,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Default capacity of the per-alien-term memo (entries, not bytes).
 pub const DEFAULT_TERM_MEMO_CAPACITY: usize = 4096;
 
-/// Default capacity of the driver's summary cache (entries per procedure
-/// name; effectively unbounded for realistic modules, but declared so
-/// eviction has a trigger).
-pub const DEFAULT_SUMMARY_CACHE_CAPACITY: usize = 4096;
-
-/// The one configuration block for every cache in the stack, threaded
-/// through `AnalysisConfig`. [`CacheConfig::default`] reproduces the
-/// pre-redesign behavior of all caches.
+/// The capacities of a [`SplitCache`](crate::logical::SplitCache) and its
+/// term memo, taken by `SplitCache::with_config` and
+/// `LogicalProduct::with_cache_config`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Whole-conjunction split-cache capacity; 0 disables split caching
@@ -52,8 +49,6 @@ pub struct CacheConfig {
     /// Per-alien-term memo capacity; 0 disables the sub-structural layer
     /// (the split cache then degenerates to the whole-conjunction memo).
     pub term_capacity: usize,
-    /// Driver summary-cache capacity (procedure summaries).
-    pub summary_capacity: usize,
 }
 
 impl Default for CacheConfig {
@@ -61,19 +56,17 @@ impl Default for CacheConfig {
         CacheConfig {
             split_capacity: crate::logical::DEFAULT_SPLIT_CACHE_CAPACITY,
             term_capacity: DEFAULT_TERM_MEMO_CAPACITY,
-            summary_capacity: DEFAULT_SUMMARY_CACHE_CAPACITY,
         }
     }
 }
 
 impl CacheConfig {
-    /// A configuration with every cache disabled — the uncached baseline
-    /// used by A/B measurements.
+    /// A configuration with split caching disabled — the uncached
+    /// baseline used by A/B measurements.
     pub fn disabled() -> CacheConfig {
         CacheConfig {
             split_capacity: 0,
             term_capacity: 0,
-            summary_capacity: 0,
         }
     }
 

@@ -39,9 +39,7 @@ mod reduced;
 mod saturate;
 
 pub use budget::{Budget, CaiError, DegradationReport};
-pub use cache::{
-    CacheConfig, TermMemo, DEFAULT_SUMMARY_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY,
-};
+pub use cache::{CacheConfig, TermMemo, DEFAULT_TERM_MEMO_CAPACITY};
 pub use cai_obs::{BlameTable, Event, LossKind};
 pub use chaos::{ChaosConfig, ChaosDomain};
 pub use direct::{DirectProduct, Pair};

@@ -476,9 +476,8 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         self
     }
 
-    /// Replaces the split cache with one built from `cfg` — the unified
-    /// configuration surface ([`CacheConfig`] rides through
-    /// `AnalysisConfig`); [`CacheConfig::disabled`] turns caching off.
+    /// Replaces the split cache with one built from `cfg`;
+    /// [`CacheConfig::disabled`] turns caching off.
     pub fn with_cache_config(self, cfg: &CacheConfig) -> Self {
         self.with_split_cache(SplitCache::with_config(cfg))
     }

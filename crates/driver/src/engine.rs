@@ -1,5 +1,5 @@
 //! The batch engine: callee-first summary computation over the call
-//! graph, a shared-nothing worker pool for independent components, and
+//! graph, one shared-nothing worklist for independent components, and
 //! the fingerprint-keyed incremental cache.
 
 use crate::callgraph::CallGraph;
@@ -10,21 +10,23 @@ use crate::summary::{
 };
 use crate::supervisor::{self, SupStats, Supervised, SupervisorCfg, Watchdog};
 use cai_core::{
-    AbstractDomain, BlameTable, Budget, BudgetPolicy, CacheConfig, DegradationReport, Event,
-    LossKind, SizeMeasures,
+    AbstractDomain, BlameTable, Budget, BudgetPolicy, DegradationReport, Event, LossKind,
+    SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
 use cai_obs::provenance;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Per-job context specializations, tagged with the component index so
-/// the merge is deterministic regardless of completion order.
-type JobContexts = Vec<(usize, BTreeMap<String, Vec<Summary>>)>;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+/// Summary-fixpoint rounds of a recursive component before every member
+/// summary is forced to ⊤ (sound, reported via [`ProcReport::diverged`]).
+const SUMMARY_ROUNDS: usize = 30;
+
+/// Summary-fixpoint rounds that join before the fixpoint widens.
+const SUMMARY_WIDEN_DELAY: usize = 2;
 
 /// The per-procedure result of a batch analysis.
 #[derive(Clone, Debug)]
@@ -191,14 +193,15 @@ fn entry_checksum(fingerprint: u64, report: &ProcReport, contexts: &[Summary]) -
 /// specialization, so re-analysis of a dirty caller reuses the entry
 /// contexts of its unchanged callees.
 ///
-/// Hits are keyed on the full procedure name and verified against the
-/// entry's integrity checksum before any reuse; a quarantined result is
-/// never stored; a full table is cleared wholesale; capacity 0 disables
-/// persistence. A run's reuse counts are its
-/// [`ModuleAnalysis::reused`] and [`ModuleAnalysis::recomputed`].
+/// The table holds exactly the last run's module: every run refreshes it
+/// to that module's procedures, so it needs no capacity. Hits are keyed
+/// on the full procedure name and verified against the entry's integrity
+/// checksum before any reuse; a quarantined result is never stored. A
+/// run's reuse counts are its [`ModuleAnalysis::reused`] and
+/// [`ModuleAnalysis::recomputed`].
 /// **Clone semantics**: cloning copies the entries (each clone owns its
 /// table — the opposite of `SplitCache`, whose clones share).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SummaryCache {
     entries: BTreeMap<String, CacheEntry>,
     /// Exponentially decayed per-procedure fault counts (panics, stalls,
@@ -207,32 +210,12 @@ pub struct SummaryCache {
     /// this, so chronically faulty procedures stop soaking up fuel that
     /// healthy ones could convert into precision.
     incidents: BTreeMap<String, u64>,
-    /// Entry capacity ([`CacheConfig::summary_capacity`]); 0 disables
-    /// persistence entirely.
-    capacity: usize,
-}
-
-impl Default for SummaryCache {
-    fn default() -> SummaryCache {
-        SummaryCache::with_config(&CacheConfig::default())
-    }
 }
 
 impl SummaryCache {
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> SummaryCache {
         SummaryCache::default()
-    }
-
-    /// An empty cache sized by [`CacheConfig::summary_capacity`] — the
-    /// constructor [`Driver::analyze`] uses, fed from
-    /// `AnalysisConfig::cache`.
-    pub fn with_config(cfg: &CacheConfig) -> SummaryCache {
-        SummaryCache {
-            entries: BTreeMap::new(),
-            incidents: BTreeMap::new(),
-            capacity: cfg.summary_capacity,
-        }
     }
 
     /// The number of cached procedures.
@@ -297,18 +280,6 @@ impl SummaryCache {
         }
     }
 
-    /// Stores a finished entry; a full table is cleared wholesale first,
-    /// and capacity 0 stores nothing.
-    fn store(&mut self, name: String, entry: CacheEntry) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&name) {
-            self.entries.clear();
-        }
-        self.entries.insert(name, entry);
-    }
-
     /// Test hook: silently corrupts the stored entry for `name` without
     /// refreshing its checksum, simulating bit rot in a persisted cache.
     /// The corruption chosen is the dangerous kind — the summary's exit
@@ -328,29 +299,30 @@ impl SummaryCache {
     }
 }
 
-#[derive(Clone, Copy)]
-struct SolveCfg {
-    widen_delay: usize,
-    max_iterations: usize,
-    cache: CacheConfig,
-    summary_widen_delay: usize,
-    summary_rounds: usize,
-    context_cap: usize,
-    policy: BudgetPolicy,
-    sup: SupervisorCfg,
-}
-
 /// One unit of work for a worker: a strongly connected component plus a
 /// snapshot of its external callees' (already final) summaries and the
 /// component's own budget slice (slices are per *job*, not per worker,
 /// so the fuel a component sees — and therefore every retry and
 /// quarantine decision — is independent of which thread runs it).
-struct Job {
-    scc: usize,
-    members: Vec<usize>,
+struct Job<'a> {
+    members: &'a [usize],
     external: BTreeMap<String, Summary>,
     recursive: bool,
-    slice: Budget,
+    slice: &'a Budget,
+}
+
+/// The batch's scheduling state, shared by every worker under one mutex.
+/// Jobs are named by their index in the batch's component-ordered job
+/// list.
+struct Worklist {
+    /// Jobs whose dependencies are all final, not yet taken.
+    ready: BTreeSet<usize>,
+    /// Each job's count of unfinished dependency jobs.
+    pending: Vec<usize>,
+    /// Every final summary: the reused ones and each finished job's.
+    summaries: BTreeMap<String, Summary>,
+    /// Finished jobs' outputs.
+    outputs: BTreeMap<usize, JobOutput>,
 }
 
 /// The interprocedural batch driver.
@@ -409,9 +381,10 @@ where
 {
     factory: F,
     threads: usize,
+    /// The intra-procedure configuration every job's analyzers run
+    /// under, each with the job's budget slice in place of the batch
+    /// budget held here.
     cfg: AnalysisConfig,
-    summary_widen_delay: usize,
-    summary_rounds: usize,
     context_cap: usize,
     supervisor: SupervisorCfg,
     _domain: PhantomData<fn() -> D>,
@@ -431,8 +404,6 @@ where
             factory,
             threads: 1,
             cfg: AnalysisConfig::new(),
-            summary_widen_delay: 2,
-            summary_rounds: 30,
             context_cap: 8,
             supervisor: SupervisorCfg::default(),
             _domain: PhantomData,
@@ -446,41 +417,6 @@ where
     /// watchdog, being wall-clock, is the one exception).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Replaces the intra-procedure [`AnalysisConfig`] (widening delay,
-    /// iteration cap, budget) wholesale — the same struct
-    /// `cai_interp::Analyzer` consumes, so the two entry points share
-    /// one set of knobs.
-    pub fn with_config(mut self, cfg: AnalysisConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// The current intra-procedure configuration.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
-    }
-
-    /// Sets the intra-procedure widening delay (see
-    /// [`Analyzer::widen_delay`]).
-    pub fn widen_delay(mut self, rounds: usize) -> Self {
-        self.cfg.widen_delay = rounds;
-        self
-    }
-
-    /// Sets the intra-procedure loop iteration cap.
-    pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.cfg.max_iterations = cap;
-        self
-    }
-
-    /// Sets the cap on summary-fixpoint rounds for a recursive component
-    /// before every member summary is forced to ⊤ (sound, reported via
-    /// [`ProcReport::diverged`]).
-    pub fn summary_rounds(mut self, cap: usize) -> Self {
-        self.summary_rounds = cap.max(1);
         self
     }
 
@@ -538,8 +474,7 @@ where
 
     /// Analyzes every procedure of `module` from scratch.
     pub fn analyze(&self, module: &Module) -> ModuleAnalysis {
-        let mut cache = SummaryCache::with_config(&self.cfg.cache);
-        self.analyze_with_cache(module, &mut cache)
+        self.analyze_with_cache(module, &mut SummaryCache::new())
     }
 
     /// Analyzes `module`, reusing `cache` entries whose fingerprints
@@ -642,49 +577,19 @@ where
                 self.cfg.policy.job_weight(&size, incidents)
             })
             .collect();
-        let cfg = SolveCfg {
-            widen_delay: self.cfg.widen_delay,
-            max_iterations: self.cfg.max_iterations,
-            cache: self.cfg.cache,
-            summary_widen_delay: self.summary_widen_delay,
-            summary_rounds: self.summary_rounds,
-            context_cap: self.context_cap,
-            policy: self.cfg.policy,
-            sup: self.supervisor,
-        };
+        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, &weights, todo.len());
+        let outputs = self.schedule(module, &graph, &todo, &slices, &seed, summaries);
+
+        // Merge the jobs in component order, whatever order they
+        // finished in. Context specializations: the seed first (it was
+        // every job's memo base), then each job's store — first writer
+        // wins per (proc, entry-key).
+        let mut degradation = DegradationReport::default();
+        for slice in &slices {
+            degradation.merge(&slice.report());
+        }
         let mut ctx = CtxStats::default();
         let mut supervision = SupStats::default();
-        let (mut degradation, job_contexts) = if self.threads <= 1 || todo.len() <= 1 {
-            self.run_sequential(
-                module,
-                &graph,
-                &todo,
-                &weights,
-                cfg,
-                &seed,
-                &mut ctx,
-                &mut supervision,
-                &mut summaries,
-                &mut reports,
-            )
-        } else {
-            self.run_parallel(
-                module,
-                &graph,
-                &todo,
-                &weights,
-                cfg,
-                &seed,
-                &mut ctx,
-                &mut supervision,
-                &mut summaries,
-                &mut reports,
-            )
-        };
-
-        // Merge context specializations deterministically: the seed
-        // first (it was every job's memo base), then each job's store in
-        // component order — first writer wins per (proc, entry-key).
         let mut merged_contexts: BTreeMap<String, BTreeMap<u64, Summary>> = BTreeMap::new();
         for (name, sums) in &seed {
             let slot = merged_contexts.entry(name.clone()).or_default();
@@ -692,8 +597,13 @@ where
                 slot.entry(s.entry_key()).or_insert_with(|| s.clone());
             }
         }
-        for (_, contexts) in job_contexts {
-            for (name, sums) in contexts {
+        for job in outputs {
+            ctx += job.ctx;
+            supervision += job.sup;
+            for r in job.reports {
+                reports.insert(r.name.clone(), r);
+            }
+            for (name, sums) in job.contexts {
                 let slot = merged_contexts.entry(name).or_default();
                 for s in sums {
                     slot.entry(s.entry_key()).or_insert(s);
@@ -728,7 +638,7 @@ where
                 .remove(&p.name)
                 .map(|m| m.into_values().take(self.context_cap).collect())
                 .unwrap_or_default();
-            cache.store(
+            cache.entries.insert(
                 p.name.clone(),
                 CacheEntry::new(fingerprint, report, contexts),
             );
@@ -757,167 +667,87 @@ where
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal: mirrors run_parallel
-    fn run_sequential(
+    /// Runs the batch's jobs — `todo` lists their components in index
+    /// order, `slices` their budget slices — and returns their outputs in
+    /// that order. `summaries` holds the reused summaries.
+    ///
+    /// One mutex-guarded [`Worklist`] drives every worker. The calling
+    /// thread is a worker, joined by `min(threads, jobs) - 1` scoped
+    /// helpers; each takes the smallest ready job and snapshots its
+    /// external callees' summaries under the lock, runs it outside the
+    /// lock, then records its summaries, readies its dependents and wakes
+    /// every waiting worker. A worker waits only while another holds a
+    /// job, so one worker never waits, and it runs the jobs in component
+    /// order. Each job's inputs are final before it is ready, so no
+    /// output depends on which thread ran it or when.
+    fn schedule(
         &self,
         module: &Module,
         graph: &CallGraph,
         todo: &[usize],
-        weights: &[u64],
-        cfg: SolveCfg,
+        slices: &[Budget],
         seed: &BTreeMap<String, Vec<Summary>>,
-        ctx: &mut CtxStats,
-        supervision: &mut SupStats,
-        summaries: &mut BTreeMap<String, Summary>,
-        reports: &mut BTreeMap<String, ProcReport>,
-    ) -> (DegradationReport, JobContexts) {
-        // The same per-job slices the parallel scheduler hands out, in
-        // the same (component-index) order, so the fuel each component
-        // sees — and every supervision decision derived from it — is
-        // identical for every thread count.
-        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, weights, todo.len());
-        let mut job_contexts = Vec::new();
-        for (&c, slice) in todo.iter().zip(&slices) {
-            let members = &graph.sccs[c];
-            let external = external_snapshot(module, members, summaries);
-            let job = run_job(
-                &self.factory,
-                module,
-                members,
-                &external,
-                seed,
-                graph.is_recursive(c, module),
-                cfg,
-                slice,
-            );
-            *ctx += job.ctx;
-            *supervision += job.sup;
-            for r in job.reports {
-                summaries.insert(r.name.clone(), r.summary.clone());
-                reports.insert(r.name.clone(), r);
+        summaries: BTreeMap<String, Summary>,
+    ) -> Vec<JobOutput> {
+        let jobs = todo.len();
+        // Dependency counts among the batch's jobs only; reused
+        // dependencies are already in the summary table.
+        let job_of: BTreeMap<usize, usize> =
+            todo.iter().enumerate().map(|(j, &c)| (c, j)).collect();
+        let mut pending = vec![0; jobs];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); jobs];
+        for (j, &c) in todo.iter().enumerate() {
+            for dep in graph.deps[c].iter().filter_map(|d| job_of.get(d)) {
+                pending[j] += 1;
+                dependents[*dep].push(j);
             }
-            job_contexts.push((c, job.contexts));
         }
-        let mut degradation = DegradationReport::default();
-        for slice in &slices {
-            degradation.merge(&slice.report());
-        }
-        (degradation, job_contexts)
-    }
+        let worklist = Mutex::new(Worklist {
+            ready: (0..jobs).filter(|&j| pending[j] == 0).collect(),
+            pending,
+            summaries,
+            outputs: BTreeMap::new(),
+        });
+        let finished = Condvar::new();
+        let lock = || worklist.lock().unwrap_or_else(PoisonError::into_inner);
 
-    /// The shared-nothing worklist: the main thread owns the summary
-    /// table and the condensation's dependency counts; workers pull jobs
-    /// (component + an immutable snapshot of its external callees'
-    /// summaries + the component's budget slice) from a mutex-guarded
-    /// queue, finished reports flow back over a channel, and completions
-    /// unlock dependent components. Budget slices and domain instances
-    /// are per *job*, not per worker, so outcomes cannot depend on which
-    /// thread ran a component. Context memo seeds are read-only and
-    /// shared; each job's computed contexts come back with its results
-    /// and are merged in component order, so the merged store is
-    /// identical for every thread count.
-    #[allow(clippy::too_many_arguments)] // internal: mirrors run_sequential
-    fn run_parallel(
-        &self,
-        module: &Module,
-        graph: &CallGraph,
-        todo: &[usize],
-        weights: &[u64],
-        cfg: SolveCfg,
-        seed: &BTreeMap<String, Vec<Summary>>,
-        ctx: &mut CtxStats,
-        supervision: &mut SupStats,
-        summaries: &mut BTreeMap<String, Summary>,
-        reports: &mut BTreeMap<String, ProcReport>,
-    ) -> (DegradationReport, JobContexts) {
-        let workers = self.threads.min(todo.len()).max(1);
-        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, weights, todo.len());
-        let job_slices: BTreeMap<usize, Budget> =
-            todo.iter().copied().zip(slices.iter().cloned()).collect();
-
-        // Dependency counts among the to-be-computed components only;
-        // reused dependencies are already in the summary table.
-        let todo_set: Vec<bool> = {
-            let mut v = vec![false; graph.sccs.len()];
-            for &c in todo {
-                v[c] = true;
-            }
-            v
-        };
-        let mut indegree: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut dependents: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &c in todo {
-            let pending = graph.deps[c].iter().filter(|&&d| todo_set[d]).count();
-            indegree.insert(c, pending);
-            for &d in &graph.deps[c] {
-                if todo_set[d] {
-                    dependents.entry(d).or_default().push(c);
+        let work = || {
+            let mut w = lock();
+            while w.outputs.len() < jobs {
+                let Some(j) = w.ready.pop_first() else {
+                    w = finished.wait(w).unwrap_or_else(PoisonError::into_inner);
+                    continue;
+                };
+                let c = todo[j];
+                let job = Job {
+                    members: &graph.sccs[c],
+                    external: external_snapshot(module, &graph.sccs[c], &w.summaries),
+                    recursive: graph.is_recursive(c, module),
+                    slice: &slices[j],
+                };
+                drop(w);
+                // run_job never unwinds (its crash path quarantines
+                // instead), so every job taken is finished and no worker
+                // waits on a lost one.
+                let out = run_job(self, module, seed, &job);
+                w = lock();
+                for r in &out.reports {
+                    w.summaries.insert(r.name.clone(), r.summary.clone());
                 }
-            }
-        }
-
-        let queue: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
-        let ready = Condvar::new();
-        let done = AtomicBool::new(false);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, JobOutput)>();
-
-        let push_job = |c: usize, summaries: &BTreeMap<String, Summary>| {
-            let members = graph.sccs[c].clone();
-            let external = external_snapshot(module, &members, summaries);
-            let job = Job {
-                scc: c,
-                members,
-                external,
-                recursive: graph.is_recursive(c, module),
-                slice: job_slices[&c].clone(),
-            };
-            queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(job);
-            ready.notify_one();
-        };
-
-        let mut job_contexts = Vec::new();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = result_tx.clone();
-                let queue = &queue;
-                let ready = &ready;
-                let done = &done;
-                let factory = &self.factory;
-                s.spawn(move || {
-                    'work: loop {
-                        let job = {
-                            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                            loop {
-                                if let Some(job) = q.pop_front() {
-                                    break job;
-                                }
-                                if done.load(Ordering::Acquire) {
-                                    break 'work;
-                                }
-                                q = ready.wait(q).unwrap_or_else(|e| e.into_inner());
-                            }
-                        };
-                        // run_job never unwinds (its crash path quarantines
-                        // instead), so the result send below always happens
-                        // and the main thread's `remaining` count never
-                        // deadlocks on a lost worker.
-                        let out = run_job(
-                            factory,
-                            module,
-                            &job.members,
-                            &job.external,
-                            seed,
-                            job.recursive,
-                            cfg,
-                            &job.slice,
-                        );
-                        if tx.send((job.scc, out)).is_err() {
-                            break;
-                        }
+                for &d in &dependents[j] {
+                    w.pending[d] -= 1;
+                    if w.pending[d] == 0 {
+                        w.ready.insert(d);
                     }
+                }
+                w.outputs.insert(j, out);
+                finished.notify_all();
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.threads.min(jobs) {
+                s.spawn(|| {
+                    work();
                     // `thread::scope` returns before this thread's
                     // thread-locals are destroyed, so hand the trace ring
                     // to the sink now: a drain right after the analysis
@@ -925,50 +755,12 @@ where
                     cai_obs::trace::flush();
                 });
             }
-            drop(result_tx);
-
-            for (&c, &pending) in &indegree {
-                if pending == 0 {
-                    push_job(c, summaries);
-                }
-            }
-            let mut remaining = todo.len();
-            while remaining > 0 {
-                let Ok((c, job)) = result_rx.recv() else {
-                    break; // all workers gone — nothing more will arrive
-                };
-                remaining -= 1;
-                *ctx += job.ctx;
-                *supervision += job.sup;
-                for r in job.reports {
-                    summaries.insert(r.name.clone(), r.summary.clone());
-                    reports.insert(r.name.clone(), r);
-                }
-                job_contexts.push((c, job.contexts));
-                if let Some(deps) = dependents.get(&c) {
-                    for &dep in deps {
-                        if let Some(count) = indegree.get_mut(&dep) {
-                            *count -= 1;
-                            if *count == 0 {
-                                push_job(dep, summaries);
-                            }
-                        }
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-            ready.notify_all();
+            work();
         });
-
-        // Completion order is scheduling-dependent; merge order must not
-        // be.
-        job_contexts.sort_by_key(|(c, _)| *c);
-
-        let mut degradation = DegradationReport::default();
-        for slice in &slices {
-            degradation.merge(&slice.report());
-        }
-        (degradation, job_contexts)
+        let w = worklist
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        w.outputs.into_values().collect()
     }
 }
 
@@ -1089,21 +881,17 @@ struct JobOutput {
 /// re-dispatch *inside* the job — rather than replacing worker threads —
 /// makes the outcome a pure function of the job's inputs and its budget
 /// slice, so it cannot depend on which thread ran the component.
-#[allow(clippy::too_many_arguments)] // internal solver shared by both schedulers
 fn run_job<D, F>(
-    factory: &F,
+    driver: &Driver<D, F>,
     module: &Module,
-    members: &[usize],
-    external: &BTreeMap<String, Summary>,
     seed: &BTreeMap<String, Vec<Summary>>,
-    recursive: bool,
-    cfg: SolveCfg,
-    slice: &Budget,
+    job: &Job<'_>,
 ) -> JobOutput
 where
     D: AbstractDomain,
     F: Fn(&Budget) -> D + Sync,
 {
+    let (members, slice) = (job.members, job.slice);
     let _span = cai_obs::span!(format!(
         "driver/solve-scc/{}",
         members
@@ -1120,20 +908,8 @@ where
         // dispatch's results, so counting its retries/quarantines would
         // leave the batch stats disagreeing with the final reports.
         let mut dispatch = SupStats::default();
-        let outcome = supervisor::guard(|| {
-            solve_scc(
-                factory,
-                module,
-                members,
-                external,
-                seed,
-                recursive,
-                cfg,
-                slice,
-                &ctx,
-                &mut dispatch,
-            )
-        });
+        let outcome =
+            supervisor::guard(|| solve_scc(driver, module, seed, job, &ctx, &mut dispatch));
         match outcome {
             Ok((reports, contexts)) => {
                 sup += dispatch;
@@ -1211,16 +987,11 @@ where
 /// callee on the caller's entry condition; calls within the component
 /// keep reading the Jacobi iterates context-insensitively. The job's
 /// computed specializations are returned for the incremental cache.
-#[allow(clippy::too_many_arguments)] // internal solver shared by both schedulers
 fn solve_scc<D, F>(
-    factory: &F,
+    driver: &Driver<D, F>,
     module: &Module,
-    members: &[usize],
-    external: &BTreeMap<String, Summary>,
     seed: &BTreeMap<String, Vec<Summary>>,
-    recursive: bool,
-    cfg: SolveCfg,
-    budget: &Budget,
+    job: &Job<'_>,
     ctx: &Cell<CtxStats>,
     sup: &mut SupStats,
 ) -> (Vec<ProcReport>, BTreeMap<String, Vec<Summary>>)
@@ -1228,27 +999,26 @@ where
     D: AbstractDomain,
     F: Fn(&Budget) -> D + Sync,
 {
-    let domain = factory(budget);
+    let (members, external, budget) = (job.members, &job.external, job.slice);
+    let domain = (driver.factory)(budget);
     let d = &domain;
-    let watchdog = cfg
-        .sup
+    let watchdog = driver
+        .supervisor
         .proc_deadline
         .map(|deadline| Watchdog::arm(budget.clone(), deadline));
-    let acfg = AnalysisConfig {
-        widen_delay: cfg.widen_delay,
-        max_iterations: cfg.max_iterations,
-        budget: budget.clone(),
-        policy: cfg.policy,
-        cache: cfg.cache,
+    // The driver's configuration, governed by one of the job's budgets.
+    let job_cfg = |b: &Budget| AnalysisConfig {
+        budget: b.clone(),
+        ..driver.cfg.clone()
     };
-    let ctx_resolver = (cfg.context_cap > 0).then(|| {
+    let ctx_resolver = (driver.context_cap > 0).then(|| {
         ContextResolver::new(
             d,
             module,
             external,
             seed,
-            cfg.context_cap,
-            acfg.clone(),
+            driver.context_cap,
+            job_cfg(budget),
             ctx,
         )
     });
@@ -1259,19 +1029,12 @@ where
     // external summaries are final and read separately.
     let attempt_pass =
         |proc: &Procedure, local: &BTreeMap<String, Summary>, ab: &Budget| -> ProcPass {
-            let attempt_cfg = AnalysisConfig {
-                widen_delay: cfg.widen_delay,
-                max_iterations: cfg.max_iterations,
-                budget: ab.clone(),
-                policy: cfg.policy,
-                cache: cfg.cache,
-            };
             let analysis = match &ctx_resolver {
                 Some(resolver) => {
                     resolver.set_local(local.clone());
                     Analyzer::new(d)
                         .with_calls(resolver)
-                        .with_config(attempt_cfg)
+                        .with_config(job_cfg(ab))
                         .run(&proc.body)
                 }
                 None => {
@@ -1282,7 +1045,7 @@ where
                     let resolver = SummaryResolver::new(&table);
                     let analysis = Analyzer::new(d)
                         .with_calls(&resolver)
-                        .with_config(attempt_cfg)
+                        .with_config(job_cfg(ab))
                         .run(&proc.body);
                     analysis
                 }
@@ -1308,13 +1071,19 @@ where
         // Blame scope: every loss the attempt records is attributed to
         // this procedure (loops nest their `loop#N` labels below it).
         let _blame_scope = provenance::scope(proc.name.as_str());
-        let outcome =
-            supervisor::supervise(&proc.name, &cfg.sup, budget, sup, watchdog.as_ref(), |ab| {
+        let outcome = supervisor::supervise(
+            &proc.name,
+            &driver.supervisor,
+            budget,
+            sup,
+            watchdog.as_ref(),
+            |ab| {
                 if let Some(resolver) = &ctx_resolver {
                     resolver.reset_in_flight();
                 }
                 attempt_pass(proc, local, ab)
-            });
+            },
+        );
         match outcome {
             Supervised::Done(pass) => pass,
             Supervised::Quarantined => {
@@ -1328,7 +1097,7 @@ where
     let mut local: BTreeMap<String, Summary> = BTreeMap::new();
     let mut scc_diverged = false;
 
-    if !recursive {
+    if !job.recursive {
         // Callees are all external and final: one pass suffices.
         let mut out = Vec::with_capacity(members.len());
         for &i in members {
@@ -1350,6 +1119,9 @@ where
         let proc = &module.procs[i];
         local.insert(proc.name.clone(), Summary::bottom(proc.params.clone()));
     }
+    // The Jacobi rounds number this thread's events until the loop ends;
+    // then the thread's own round is back.
+    let outer_round = provenance::save_round();
     let mut round = 0usize;
     loop {
         round += 1;
@@ -1370,7 +1142,7 @@ where
         if stable {
             break;
         }
-        if round >= cfg.summary_rounds {
+        if round >= SUMMARY_ROUNDS {
             budget.degrade(
                 "driver/summary-fixpoint",
                 "recursive component hit the round cap; summaries forced to top",
@@ -1382,7 +1154,7 @@ where
             scc_diverged = true;
             break;
         }
-        let widen = round > cfg.summary_widen_delay;
+        let widen = round > SUMMARY_WIDEN_DELAY;
         for (name, new) in next {
             let combined = match local.get(&name) {
                 Some(old) => summary_combine(d, old, &new, widen),
@@ -1400,6 +1172,7 @@ where
             break;
         }
     }
+    drop(outer_round);
 
     // Recording pass under the stable summaries.
     let mut out = Vec::with_capacity(members.len());

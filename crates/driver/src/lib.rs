@@ -18,11 +18,12 @@
 //!   callee from that entry, and memoizes the specialization per
 //!   `(procedure, entry-key)` — capped per procedure, with overflow
 //!   entries widened together so analysis still terminates;
-//! - [`Driver`] runs the batch: sequentially, or farming independent
-//!   components to a fixed pool of shared-nothing worker threads (every
-//!   component job owns its domain instance and
-//!   [`Budget`](cai_core::Budget) slice; only immutable summaries cross
-//!   threads, so results are identical for every thread count). Each
+//! - [`Driver`] runs the batch off one worklist, which the calling thread
+//!   and up to [`threads`](Driver::threads)` - 1` scoped helpers drain,
+//!   so independent components run in parallel (every component job owns
+//!   its domain instance and [`Budget`](cai_core::Budget) slice; only
+//!   immutable summaries cross threads, so results are identical for
+//!   every thread count). Each
 //!   per-procedure analysis runs *supervised*: panics are caught and
 //!   retried with halved fuel ([`Driver::max_retries`]), stragglers are
 //!   cancelled by a wall-clock watchdog ([`Driver::proc_deadline`]), and

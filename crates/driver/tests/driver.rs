@@ -1,11 +1,13 @@
 //! Integration tests of the interprocedural driver: summary precision,
 //! recursive fixpoints, parallel determinism, and incremental reuse.
 
-use cai_core::Budget;
+use cai_core::{Budget, Event, LossKind};
 use cai_driver::{Driver, ModuleAnalysis, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
 use cai_term::parse::Vocab;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn module(src: &str) -> Module {
     parse_module(&Vocab::standard(), src).expect("module parses")
@@ -153,6 +155,10 @@ fn mutual_recursion_stabilizes_jointly() {
 /// A diamond over distinct leaves, wide enough to give the scheduler
 /// real interleaving freedom.
 fn diamond_module() -> Module {
+    module(&diamond_src())
+}
+
+fn diamond_src() -> String {
     let mut src = String::new();
     for i in 0..8 {
         src.push_str(&format!("proc leaf{i}(a) {{ ret := a + {i}; }}\n"));
@@ -171,30 +177,96 @@ fn diamond_module() -> Module {
              ret := v;
          }",
     );
+    src
+}
+
+/// A 6-deep call chain whose top also calls every link (a fan-in): at
+/// most one component is ready at a time, so extra workers only wait.
+fn chain_module() -> Module {
+    let mut src = String::from("proc c0(a) { ret := a + 1; }\n");
+    for i in 1..6 {
+        src.push_str(&format!(
+            "proc c{i}(a) {{ x := call c{}(a); ret := x + 1; }}\n",
+            i - 1
+        ));
+    }
+    src.push_str("proc top(n) {");
+    for i in 0..6 {
+        src.push_str(&format!(" x{i} := call c{i}(n);"));
+    }
+    src.push_str(" assert(x5 = n + 6); assert(x0 = x5); ret := x5; }");
     module(&src)
+}
+
+/// Runs `batch` on a spawned thread and fails, instead of hanging, if it
+/// has not returned within 60 s: a lost wake-up in the scheduler shows as
+/// a timeout, not as a wrong answer.
+fn within_a_minute(batch: impl FnOnce() -> ModuleAnalysis + Send + 'static) -> ModuleAnalysis {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(batch());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the batch finished within 60 s")
+}
+
+/// Asserts two runs of one batch agree on every summary, verdict,
+/// divergence flag, reuse count, fuel figure and event.
+fn assert_identical(a: &ModuleAnalysis, b: &ModuleAnalysis, what: &str) {
+    assert_eq!(a.reports.len(), b.reports.len(), "{what}");
+    for (x, y) in a.reports.iter().zip(b.reports.iter()) {
+        assert_eq!(x.name, y.name, "{what}: same order");
+        assert_eq!(x.summary, y.summary, "{what}: summary of {}", x.name);
+        assert_eq!(
+            x.summary.to_string(),
+            y.summary.to_string(),
+            "{what}: presentation of {}",
+            x.name
+        );
+        assert_eq!(x.diverged, y.diverged, "{what}: {}", x.name);
+        let vx: Vec<bool> = x.assertions.iter().map(|o| o.verified).collect();
+        let vy: Vec<bool> = y.assertions.iter().map(|o| o.verified).collect();
+        assert_eq!(vx, vy, "{what}: verdicts of {}", x.name);
+    }
+    assert_eq!((a.reused, a.recomputed), (b.reused, b.recomputed), "{what}");
+    assert_eq!(a.degradation.fuel_spent, b.degradation.fuel_spent, "{what}");
+    assert_eq!(a.degradation.events, b.degradation.events, "{what}");
 }
 
 #[test]
 fn parallel_results_are_bit_identical_to_sequential() {
-    let m = diamond_module();
-    let seq = affine().threads(1).analyze(&m);
-    let par = affine().threads(4).analyze(&m);
-    assert_eq!(seq.reports.len(), par.reports.len());
-    for (a, b) in seq.reports.iter().zip(par.reports.iter()) {
-        assert_eq!(a.name, b.name, "same order");
-        assert_eq!(a.summary, b.summary, "identical summary for {}", a.name);
-        assert_eq!(
-            a.summary.to_string(),
-            b.summary.to_string(),
-            "identical presentation for {}",
-            a.name
-        );
-        assert_eq!(a.diverged, b.diverged);
-        let va: Vec<bool> = a.assertions.iter().map(|o| o.verified).collect();
-        let vb: Vec<bool> = b.assertions.iter().map(|o| o.verified).collect();
-        assert_eq!(va, vb, "identical verdicts for {}", a.name);
-    }
-    assert_eq!(verdicts(&par, "top"), [true]);
+    // The diamond cold; the chain cold, where workers outnumber ready
+    // jobs; and a one-procedure edit of the diamond, a one-job batch.
+    let diamond = |threads: usize| {
+        within_a_minute(move || affine().threads(threads).analyze(&diamond_module()))
+    };
+    let chain = |threads: usize| {
+        within_a_minute(move || affine().threads(threads).analyze(&chain_module()))
+    };
+    let edit = |threads: usize| {
+        within_a_minute(move || {
+            let driver = affine().threads(threads);
+            let mut cache = SummaryCache::new();
+            driver.analyze_with_cache(&diamond_module(), &mut cache);
+            let edited = module(&diamond_src().replace("ret := v;", "ret := v + 1;"));
+            driver.analyze_with_cache(&edited, &mut cache)
+        })
+    };
+    let inputs: [(&str, &dyn Fn(usize) -> ModuleAnalysis); 3] =
+        [("diamond", &diamond), ("chain", &chain), ("edit", &edit)];
+    let seq: Vec<ModuleAnalysis> = inputs
+        .iter()
+        .map(|(what, run)| {
+            let seq = run(1);
+            for threads in [2, 8] {
+                assert_identical(&seq, &run(threads), &format!("{what} at {threads} threads"));
+            }
+            seq
+        })
+        .collect();
+    assert_eq!(verdicts(&seq[0], "top"), [true]);
+    assert_eq!(verdicts(&seq[1], "top"), [true, false]);
+    assert_eq!((seq[2].reused, seq[2].recomputed), (16, 1));
 }
 
 #[test]
@@ -243,15 +315,21 @@ fn incremental_reanalysis_recomputes_only_the_dirty_cone() {
 #[test]
 fn incremental_reuse_is_identical_on_any_thread_count() {
     let m = diamond_module();
-    let mut cache = SummaryCache::new();
-    let driver4 = affine().threads(4);
-    let first = driver4.analyze_with_cache(&m, &mut cache);
-    assert_eq!(first.reused, 0);
-    let second = driver4.analyze_with_cache(&m, &mut cache);
-    assert_eq!((second.reused, second.recomputed), (17, 0));
-    for (a, b) in first.reports.iter().zip(second.reports.iter()) {
-        assert_eq!(a.summary, b.summary);
+    let mut runs = Vec::new();
+    for threads in [1, 4] {
+        let mut cache = SummaryCache::new();
+        let driver = affine().threads(threads);
+        let first = driver.analyze_with_cache(&m, &mut cache);
+        assert_eq!((first.reused, first.recomputed), (0, 17));
+        assert_eq!(cache.len(), 17, "{threads} threads: every procedure cached");
+        let second = driver.analyze_with_cache(&m, &mut cache);
+        assert_eq!((second.reused, second.recomputed), (17, 0));
+        for (a, b) in first.reports.iter().zip(second.reports.iter()) {
+            assert_eq!(a.summary, b.summary);
+        }
+        runs.push(second);
     }
+    assert_identical(&runs[0], &runs[1], "warm at 1 and 4 threads");
 }
 
 #[test]
@@ -284,22 +362,19 @@ fn summary_cache_reports_its_size() {
 }
 
 #[test]
-fn disabled_summary_cache_persists_nothing() {
-    use cai_core::CacheConfig;
+fn a_batch_restores_the_calling_threads_round() {
+    // The Jacobi rounds of a recursive component number the events of the
+    // thread that runs it; once the batch returns, an event recorded on
+    // the calling thread is back at round 0.
     let m = module(
-        "proc f(a) { ret := a + 1; }
-         proc g(b) { r := call f(b); ret := r; }",
+        "proc id(n) {
+             if (*) { ret := n; } else { t := call id(n); ret := t; }
+         }",
     );
-    let mut cache = SummaryCache::with_config(&CacheConfig::disabled());
-    let first = affine().analyze_with_cache(&m, &mut cache);
-    assert!(cache.is_empty(), "capacity 0 must disable persistence");
-    // A second run over the empty cache recomputes everything — with
-    // results identical to a cached driver's.
-    let second = affine().analyze_with_cache(&m, &mut cache);
-    assert_eq!((second.reused, second.recomputed), (0, 2));
-    let cached = affine().analyze(&m);
-    for (a, b) in first.reports.iter().zip(cached.reports.iter()) {
-        assert_eq!(a.summary, b.summary);
+    for threads in [1, 4] {
+        affine().threads(threads).analyze(&m);
+        let probe = Event::new(LossKind::Widen, "test/probe", "after the batch");
+        assert_eq!(probe.round, 0, "{threads} threads");
     }
 }
 

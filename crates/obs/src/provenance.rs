@@ -182,6 +182,23 @@ pub fn set_round(round: u64) {
     ROUND.with(|r| r.set(round));
 }
 
+/// RAII guard for a saved logical round; see [`save_round`].
+pub struct RoundGuard(u64);
+
+impl Drop for RoundGuard {
+    fn drop(&mut self) {
+        set_round(self.0);
+    }
+}
+
+/// Saves the current logical round until the returned guard drops — for
+/// a fixpoint that numbers its rounds with [`set_round`] outside a
+/// [`scope`] of its own.
+#[must_use = "the round is restored when the guard drops"]
+pub fn save_round() -> RoundGuard {
+    RoundGuard(ROUND.with(Cell::get))
+}
+
 fn current_scope() -> String {
     SCOPES.with(|s| {
         let s = s.borrow();
