@@ -7,12 +7,14 @@
 #   3. formatting            (cargo fmt --check)
 #   4. lint, library code    (clippy, warnings + unwrap/panic-free libs)
 #   5. lint, all targets     (clippy, warnings; tests/bins may unwrap)
-#   6. release build
-#   7. test suite
-#   8. driver tests, release build
-#   9. report binaries       (paper_eval --blame, paper_eval complexity
-#                             compare, driver_eval --smoke and its report)
-#  10. ledger gate           (perfbench work counters against the
+#   6. docs                  (rustdoc, warnings: no broken doc links)
+#   7. release build
+#   8. test suite
+#   9. driver tests, release build
+#  10. report binaries       (paper_eval --blame, paper_eval complexity
+#                             compare, driver_eval --smoke, its report
+#                             and its trace)
+#  11. ledger gate           (perfbench work counters against the
 #                             committed benchmark ledger)
 #
 # Everything runs with --offline: the workspace has no external
@@ -56,6 +58,9 @@ cargo clippy --workspace --lib --offline -- -D warnings -D clippy::unwrap_used
 echo "== clippy (all targets: -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== build (release) =="
 cargo build --release --offline
 
@@ -81,9 +86,12 @@ cargo run --release -p cai-bench --bin driver_eval --offline -- \
     --smoke --chaos-seed 7 --blame-out "$blame_json" --trace-out "$obs_trace" \
     --obs-report | tee "$obs_log"
 test -s "$blame_json" || { echo "--blame-out wrote no JSON"; exit 1; }
-# The trace export's shape is checked by tests/obs.rs; here the file
-# must merely exist and be non-empty.
-test -s "$obs_trace" || { echo "--trace-out wrote no trace"; exit 1; }
+# The trace export's shape is checked by tests/obs.rs; here it must hold
+# the traced run's per-procedure spans. An empty export (`[]`) would pass
+# a size check; it is what a job whose spans no longer reach the run
+# writes.
+grep -qF '"name":"analyze/' "$obs_trace" || {
+    echo "--trace-out wrote no analyze/ span"; exit 1; }
 # The run report must print each of the run's counters, and the
 # event-log drop count must be visible (an explicit zero when nothing
 # was dropped), so silent event loss is ruled out by inspection.

@@ -75,16 +75,15 @@ impl Args {
     }
 }
 
-/// Drains the span tracer into a Chrome `trace_event` JSON file — the
-/// shared tail of every binary's `--trace-out FILE` flag. Exits 1 when the
-/// file cannot be written (a requested artifact silently missing is worse
-/// than a failed run).
-pub fn write_trace_out(path: &str) {
-    let trace = cai_obs::trace::drain();
+/// Writes a run's spans as a Chrome `trace_event` JSON file — the shared
+/// tail of every binary's `--trace-out FILE` flag. Exits 1 when the file
+/// cannot be written (a requested artifact silently missing is worse than
+/// a failed run).
+pub fn write_trace_out(path: &str, trace: &cai_obs::Trace) {
     match std::fs::write(path, trace.to_chrome_json()) {
         Ok(()) => println!(
-            "wrote {} trace event(s) to {path} (dropped {})",
-            trace.events.len(),
+            "wrote {} span(s) to {path} (dropped {})",
+            trace.spans.len(),
             trace.dropped
         ),
         Err(e) => {

@@ -16,9 +16,9 @@
 //! run's degradation report (fuel, stored events, `dropped_events`), its
 //! context and supervision counters, the summary cache's counters, and
 //! the join stats every product of the binary shares. `--trace-out FILE`
-//! enables the span tracer and writes a Chrome `trace_event` JSON profile
-//! loadable in `chrome://tracing` or Perfetto. Neither changes any
-//! analysis result.
+//! traces the cold-cache run and writes its spans as a Chrome
+//! `trace_event` JSON profile loadable in `chrome://tracing` or Perfetto.
+//! Neither changes any analysis result.
 //!
 //! `--blame` (and `--blame-out FILE`, which also writes the JSON export)
 //! prints the blame legs of `cai_bench::blame` — the calibrated
@@ -41,12 +41,16 @@ use std::time::Instant;
 
 type Product = LogicalProduct<AffineEq, UfDomain>;
 
-/// The logical-product driver; every job's product shares `stats`, so
-/// the `--obs-report` join line aggregates every run of the binary.
+/// The logical-product driver. Every job's product draws on the job's
+/// budget, so its fuel, events and spans reach the run's report, and
+/// shares `stats`, so the `--obs-report` join line aggregates every run
+/// of the binary.
 fn product_driver_with(stats: &JoinStats) -> Driver<Product, impl Fn(&Budget) -> Product + Sync> {
     let stats = stats.clone();
-    Driver::new(move |_: &Budget| {
-        LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_stats(stats.clone())
+    Driver::new(move |b: &Budget| {
+        LogicalProduct::new(AffineEq::new(), UfDomain::new())
+            .with_budget(b.clone())
+            .with_stats(stats.clone())
     })
 }
 
@@ -105,9 +109,6 @@ fn main() {
     let blame_out = args.opt_str("--blame-out");
     let obs_report = args.flag("--obs-report");
     let trace_out = args.opt_str("--trace-out");
-    if trace_out.is_some() {
-        cai_obs::trace::set_enabled(true);
-    }
     let procs = args.value_or("--procs", if smoke { 32usize } else { 64 });
     let threads = args.value_or("--threads", 4usize);
     let chaos_seed = args.value_or("--chaos-seed", 7u64);
@@ -150,7 +151,13 @@ fn main() {
     );
 
     // --- warm-cache incremental re-analysis -------------------------------
-    let driver = product_driver_with(&join_stats).threads(threads);
+    // With `--trace-out` these runs are traced: each records its spans in
+    // its own report.
+    let batch_budget = Budget::unlimited();
+    batch_budget.set_tracing(trace_out.is_some());
+    let driver = product_driver_with(&join_stats)
+        .threads(threads)
+        .with_budget(batch_budget);
     let mut cache = SummaryCache::new();
     let (t_cold, cold) = time_ms(|| driver.analyze_with_cache(&m, &mut cache));
     let (t_warm, warm) = time_ms(|| driver.analyze_with_cache(&m, &mut cache));
@@ -198,7 +205,7 @@ fn main() {
         println!("driver_eval smoke OK");
     }
 
-    // --- observability exports (report + trace last, so they see it all) --
+    // --- observability exports -------------------------------------------
     if obs_report {
         // `dropped_events` prints even at zero, so silent event loss is
         // ruled out by inspection.
@@ -227,6 +234,6 @@ fn main() {
         println!("  join (all runs): {}", join_stats.snapshot());
     }
     if let Some(path) = trace_out {
-        write_trace_out(&path);
+        write_trace_out(&path, &cold.degradation.trace);
     }
 }

@@ -17,6 +17,10 @@
 //! differential report that attributes its lost `x <= 100` bound (the
 //! workspace's `tests/blame.rs` checks it names the loop's widening
 //! site).
+//!
+//! `--trace-out FILE` traces the figure items: every analyzer and logical
+//! product they build draws on one traced budget, whose spans are written
+//! as Chrome `trace_event` JSON.
 
 use cai_bench::{args::write_trace_out, fig1_family, thm6_family, Args, ConjGen, FIG1, FIG4, FIG8};
 use cai_core::reduce::{EncodeMode, UnaryEncoder};
@@ -35,9 +39,9 @@ use std::time::{Duration, Instant};
 fn main() {
     let mut args = Args::parse();
     let trace_out = args.opt_str("--trace-out");
-    if trace_out.is_some() {
-        cai_obs::trace::set_enabled(true);
-    }
+    // The figure items' runs share one unlimited budget, traced on request.
+    let run = Budget::unlimited();
+    run.set_tracing(trace_out.is_some());
     let deadline_ms = args.opt_value::<u64>("--deadline-ms");
     let blame_flag = args.flag("--blame");
     let ran_mode = deadline_ms.is_some() || blame_flag;
@@ -53,41 +57,41 @@ fn main() {
         let all = items.is_empty() || items.iter().any(|a| a == "all");
         let want = |name: &str| all || items.iter().any(|a| a == name);
         if want("fig1") {
-            fig1();
+            fig1(&run);
         }
         if want("fig2") {
             fig2();
         }
         if want("fig3") {
-            fig3();
+            fig3(&run);
         }
         if want("fig4") {
-            fig4();
+            fig4(&run);
         }
         if want("fig6") {
-            fig6();
+            fig6(&run);
         }
         if want("fig7") {
-            fig7();
+            fig7(&run);
         }
         if want("fig8") {
-            fig8();
+            fig8(&run);
         }
         if want("thm6") {
-            thm6();
+            thm6(&run);
         }
         if want("sec5") {
-            sec5();
+            sec5(&run);
         }
         if want("complexity") {
-            complexity();
+            complexity(&run);
         }
         if want("compare") {
-            compare();
+            compare(&run);
         }
     }
     if let Some(path) = trace_out {
-        write_trace_out(&path);
+        write_trace_out(&path, &run.report().trace);
     }
 }
 
@@ -168,11 +172,12 @@ fn header(title: &str) {
     println!("\n{}\n{}", title, "=".repeat(title.len()));
 }
 
-fn verdicts<D: AbstractDomain>(d: &D, p: &Program, herbrand: bool) -> Vec<bool> {
+fn verdicts<D: AbstractDomain>(d: &D, p: &Program, herbrand: bool, run: &Budget) -> Vec<bool> {
+    let analyzer = Analyzer::new(d).with_budget(run.clone());
     let analyzer = if herbrand {
-        Analyzer::new(d).with_view(herbrand_view)
+        analyzer.with_view(herbrand_view)
     } else {
-        Analyzer::new(d)
+        analyzer
     };
     analyzer
         .run(p)
@@ -194,26 +199,26 @@ fn show(verdicts: &[bool]) -> String {
     )
 }
 
-fn fig1() {
+fn fig1(run: &Budget) {
     header("Figure 1 — precision of direct vs. reduced vs. logical product");
     println!("paper claim: 1 / 1 / 2 / 3 / 4 assertions verified");
     let vocab = Vocab::standard();
     let p = parse_program(&vocab, FIG1).expect("figure 1 parses");
-    let lin = verdicts(&AffineEq::new(), &p, false);
+    let lin = verdicts(&AffineEq::new(), &p, false, run);
     println!("linear equalities alone : {}", show(&lin));
-    let uf = verdicts(&UfDomain::new(), &p, true);
+    let uf = verdicts(&UfDomain::new(), &p, true, run);
     println!("uninterpreted fns alone : {}", show(&uf));
     let direct: Vec<bool> = lin.iter().zip(&uf).map(|(a, b)| *a || *b).collect();
     println!("direct product          : {}", show(&direct));
     let reduced = ReducedProduct::new(AffineEq::new(), UfDomain::new());
     println!(
         "reduced product         : {}",
-        show(&verdicts(&reduced, &p, false))
+        show(&verdicts(&reduced, &p, false, run))
     );
-    let logical = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+    let logical = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
     println!(
         "logical product         : {}",
-        show(&verdicts(&logical, &p, false))
+        show(&verdicts(&logical, &p, false, run))
     );
 }
 
@@ -241,43 +246,43 @@ fn fig2() {
     println!("E2' = {}", s.right);
 }
 
-fn fig3() {
+fn fig3(run: &Budget) {
     header("Figure 3 — the union theory is not a lattice; J in L1 ⋈ L2");
     println!("paper claim: J(x=a ∧ y=b, x=b ∧ y=a) = (x + y = a + b)");
     let vocab = Vocab::standard();
-    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
     let e1 = vocab.parse_conj("x = a & y = b").expect("parses");
     let e2 = vocab.parse_conj("x = b & y = a").expect("parses");
     let j = d.join(&e1, &e2);
     println!("computed: J = {j}");
 }
 
-fn fig4() {
+fn fig4(run: &Budget) {
     header("Figure 4 — strict logical product vs. logical product");
     println!("paper claim: assertion 1 verified, assertion 2 not");
     let vocab = Vocab::standard();
     let p = parse_program(&vocab, FIG4).expect("figure 4 parses");
-    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
-    let got = verdicts(&d, &p, false);
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
+    let got = verdicts(&d, &p, false, run);
     println!("computed: {}", show(&got));
 }
 
-fn fig6() {
+fn fig6(run: &Budget) {
     header("Figure 6 — the combined join algorithm, worked example");
     println!("paper claim: J(u=F(w) ∧ w=v+1, u=F(u) ∧ v=F(u)−1) = (u = F(v+1))");
     let vocab = Vocab::standard();
-    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
     let el = vocab.parse_conj("u = F(w) & w = v + 1").expect("parses");
     let er = vocab.parse_conj("u = F(u) & v = F(u) - 1").expect("parses");
     let j = d.join(&el, &er);
     println!("computed: J = {j}");
 }
 
-fn fig7() {
+fn fig7(run: &Budget) {
     header("Figure 7 — the combined quantification algorithm, worked example");
     println!("paper claim: Q(x≤y ∧ y≤u ∧ x=F(F(1+y)) ∧ v=F(y+1), {{x,y}}) = (F(v) ≤ u)");
     let vocab = Vocab::standard();
-    let d = LogicalProduct::new(Polyhedra::new(), UfDomain::new());
+    let d = LogicalProduct::new(Polyhedra::new(), UfDomain::new()).with_budget(run.clone());
     let e = vocab
         .parse_conj("x <= y & y <= u & x = F(F(1 + y)) & v = F(y + 1)")
         .expect("parses");
@@ -286,15 +291,15 @@ fn fig7() {
     println!("computed: Q = {q}");
 }
 
-fn fig8() {
+fn fig8(run: &Budget) {
     header("Figure 8 — non-disjoint theories: sound but incomplete");
     println!("paper claim: combination yields odd(x), most precise is odd(x) ∧ positive(x)");
     let vocab = Vocab::standard();
-    let d = LogicalProduct::new(ParityDomain::new(), SignDomain::new());
+    let d = LogicalProduct::new(ParityDomain::new(), SignDomain::new()).with_budget(run.clone());
     assert_eq!(d.precision(), Precision::HeuristicNonDisjoint);
     println!("precision classification: {:?}", d.precision());
     let p = parse_program(&vocab, FIG8).expect("figure 8 parses");
-    let got = verdicts(&d, &p, false);
+    let got = verdicts(&d, &p, false, run);
     println!(
         "computed: odd(x) {} / positive(x) {}",
         if got[0] { "verified" } else { "MISSED" },
@@ -306,7 +311,7 @@ fn fig8() {
     );
 }
 
-fn thm6() {
+fn thm6(run: &Budget) {
     header("Theorem 6 — fixpoint iterations over the combined lattice");
     println!("paper claim: H_combined ≤ H_L1 + H_L2 + |AlienTerms|");
     println!(
@@ -317,18 +322,20 @@ fn thm6() {
     for k in 1..=4 {
         let p = parse_program(&vocab, &thm6_family(k)).expect("family parses");
         let lin: usize = Analyzer::new(&AffineEq::new())
+            .with_budget(run.clone())
             .run(&p)
             .loop_iterations
             .iter()
             .sum();
         let uf: usize = Analyzer::new(&UfDomain::new())
+            .with_budget(run.clone())
             .with_view(herbrand_view)
             .run(&p)
             .loop_iterations
             .iter()
             .sum();
-        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
-        let analysis = Analyzer::new(&d).run(&p);
+        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
+        let analysis = Analyzer::new(&d).with_budget(run.clone()).run(&p);
         let combined: usize = analysis.loop_iterations.iter().sum();
         let aliens = alien_terms(
             &analysis.exit,
@@ -352,7 +359,7 @@ fn thm6() {
     }
 }
 
-fn sec5() {
+fn sec5(run: &Budget) {
     header("Section 5 — reductions to unary-UF ⋈ linear arithmetic");
     let vocab = Vocab::standard();
     let mut enc = UnaryEncoder::new(EncodeMode::Commutative);
@@ -369,15 +376,15 @@ fn sec5() {
     let p = parse_program(&vocab, "x := Gc(p, q); y := Gc(q, p); assert(x = y);").expect("parses");
     let mut enc3 = UnaryEncoder::new(EncodeMode::Commutative);
     let encoded = p.map_terms(&mut |t| enc3.encode_term(t));
-    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
-    let got = verdicts(&d, &encoded, false);
+    let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
+    let got = verdicts(&d, &encoded, false, run);
     println!(
         "commutativity assertion through the reduction: {}",
         show(&got)
     );
 }
 
-fn complexity() {
+fn complexity(run: &Budget) {
     header("§4.4 — measured cost of combined operators (µs, medians of 3)");
     println!(
         "{:<6} {:>12} {:>12} {:>14} {:>12} {:>14}",
@@ -387,7 +394,8 @@ fn complexity() {
         let mut gen = ConjGen::new(5000 + n as u64, n);
         let lin = AffineEq::new();
         let uf = UfDomain::new();
-        let logical = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+        let logical =
+            LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
         let (la, lb) = gen.join_pair(n, 2, false);
         let (ea, eb) = (lin.from_conj(&la), lin.from_conj(&lb));
         let (ma, mb) = gen.join_pair(n, 2, true);
@@ -430,7 +438,7 @@ fn median_us(mut f: impl FnMut()) -> f64 {
     samples[1]
 }
 
-fn compare() {
+fn compare(run: &Budget) {
     header("§7 — cost & precision: direct vs. reduced vs. logical (fig1 family)");
     println!(
         "{:<4} {:>10} {:>12} {:>12} | {:>8} {:>8} {:>8}",
@@ -440,19 +448,20 @@ fn compare() {
     for k in 1..=3usize {
         let p = parse_program(&vocab, &fig1_family(k)).expect("family parses");
         let t0 = Instant::now();
-        let lin = verdicts(&AffineEq::new(), &p, false);
-        let uf = verdicts(&UfDomain::new(), &p, true);
+        let lin = verdicts(&AffineEq::new(), &p, false, run);
+        let uf = verdicts(&UfDomain::new(), &p, true, run);
         let direct_ok = lin.iter().zip(&uf).filter(|(a, b)| **a || **b).count();
         let t_direct = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
         let reduced = ReducedProduct::new(AffineEq::new(), UfDomain::new());
-        let red = verdicts(&reduced, &p, false);
+        let red = verdicts(&reduced, &p, false, run);
         let t_reduced = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
-        let logical = LogicalProduct::new(AffineEq::new(), UfDomain::new());
-        let log = verdicts(&logical, &p, false);
+        let logical =
+            LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(run.clone());
+        let log = verdicts(&logical, &p, false, run);
         let t_logical = t0.elapsed().as_secs_f64() * 1e3;
 
         println!(

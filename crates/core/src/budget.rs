@@ -15,12 +15,13 @@
 //! it into each component domain, the product, and the analyzer, and
 //! exhaustion anywhere stops work everywhere.
 //!
-//! A budget is also where a run's events live. [`Budget::record`] is the
-//! one emission point for every precision loss and absorbed fault: it
-//! keeps the event (at most 64 of each kind), folds
-//! it into the run's uncapped [`BlameTable`], flags the budget degraded
-//! when the kind [degrades](LossKind::degrades), and emits one tracer
-//! instant. [`Budget::report`] hands all of it back.
+//! A budget is also where a run's events and spans live. [`Budget::record`]
+//! is the one emission point for every precision loss and absorbed fault:
+//! it keeps the event (at most 64 of each kind), folds it into the run's
+//! uncapped [`BlameTable`], and flags the budget degraded when the kind
+//! [degrades](LossKind::degrades). While [tracing](Budget::set_tracing) is
+//! on, [`Budget::span`] times a phase into the run's bounded [`Trace`].
+//! [`Budget::report`] hands all of it back.
 //!
 //! ```
 //! use cai_core::Budget;
@@ -34,10 +35,11 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use cai_obs::{clock, BlameTable, Event, LossKind};
+use cai_obs::{clock, BlameTable, Event, LossKind, Span, Trace};
 
 /// How often (in ticks) the wall-clock deadline is re-checked; reading the
 /// clock on every tick would dominate the hot loops. (The clock is read via
@@ -88,7 +90,8 @@ impl fmt::Display for CaiError {
 impl std::error::Error for CaiError {}
 
 /// A summary of everything a budget observed: whether any governed
-/// operation gave up, the fuel spent, and every recorded [`Event`].
+/// operation gave up, the fuel spent, every recorded [`Event`], and the
+/// spans timed while tracing was on.
 #[derive(Clone, Debug, Default)]
 pub struct DegradationReport {
     /// `true` if any recorded event [degrades](LossKind::degrades).
@@ -106,6 +109,9 @@ pub struct DegradationReport {
     /// Every event, dropped ones included, folded per
     /// `(scope, site, kind)`.
     pub blame: BlameTable,
+    /// The spans [`Budget::span`] recorded while tracing was on (empty
+    /// otherwise); [`Trace::to_chrome_json`] prints them.
+    pub trace: Trace,
 }
 
 impl DegradationReport {
@@ -125,7 +131,8 @@ impl DegradationReport {
     /// per-kind cap. Events that do not fit — whether they overflow
     /// *this* report's cap or were already dropped by `other` — are kept
     /// as counts, so merging N slices neither grows the log unboundedly
-    /// nor loses how much was cut.
+    /// nor loses how much was cut. Spans append under the trace's own cap
+    /// the same way.
     pub fn merge(&mut self, other: &DegradationReport) {
         self.degraded |= other.degraded;
         self.exhausted |= other.exhausted;
@@ -135,6 +142,7 @@ impl DegradationReport {
         }
         self.dropped_events += other.dropped_events;
         self.blame.merge(&other.blame);
+        self.trace.merge(&other.trace);
     }
 
     /// The stored events of one kind, oldest first.
@@ -143,12 +151,13 @@ impl DegradationReport {
     }
 }
 
-/// The *observation* side of a budget — the degradation flag and the
-/// event log. Split out so a [`child`](Budget::child) budget can keep
-/// its own fuel/deadline restriction while recording everything it
-/// observes straight onto its parent's log: the supervisor hands each
-/// retry attempt a fresh restriction, and every attempt's events still
-/// land in the one report the driver merges.
+/// The *observation* side of a budget — the degradation flag, the
+/// tracing switch, and the event and span log. Split out so a
+/// [`child`](Budget::child) budget can keep its own fuel/deadline
+/// restriction while recording everything it observes straight onto its
+/// parent's log: the supervisor hands each retry attempt a fresh
+/// restriction, and every attempt's events and spans still land in the
+/// one report the driver merges.
 #[derive(Debug, Default)]
 struct Obs {
     degraded: AtomicBool,
@@ -157,9 +166,17 @@ struct Obs {
     /// comparing snapshots before and after — the memo layer uses this to
     /// refuse to cache results produced by a starved run.
     degrade_events: AtomicU64,
-    /// The stored events and the blame table (its flags and fuel stay
-    /// unset; [`Budget::report`] fills them in).
+    /// Whether [`Budget::span`] records.
+    tracing: AtomicBool,
+    /// The stored events, the blame table and the trace (its flags and
+    /// fuel stay unset; [`Budget::report`] fills them in).
     log: Mutex<DegradationReport>,
+}
+
+impl Obs {
+    fn log(&self) -> MutexGuard<'_, DegradationReport> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 #[derive(Debug)]
@@ -255,7 +272,8 @@ impl BudgetInner {
 }
 
 /// A shared fuel counter and optional wall-clock deadline governing the
-/// potentially-unbounded loops of the engine. See the [module docs](self).
+/// potentially-unbounded loops of the engine, and the log of the events
+/// and spans observed under it. Clones share all of it.
 #[derive(Clone, Debug)]
 pub struct Budget {
     inner: Arc<BudgetInner>,
@@ -370,21 +388,47 @@ impl Budget {
     /// so far, stored in the shared observation log (capped per kind;
     /// [`child`](Budget::child) and
     /// [`recovery_slice`](Budget::recovery_slice) budgets record onto
-    /// their parent's), folded into the log's blame table, and emitted as
-    /// one `event/<kind>` tracer instant. A kind that
-    /// [degrades](LossKind::degrades) also flags the budget degraded and
-    /// advances [`degrade_count`](Budget::degrade_count).
+    /// their parent's), and folded into the log's blame table. A kind
+    /// that [degrades](LossKind::degrades) also flags the budget degraded
+    /// and advances [`degrade_count`](Budget::degrade_count).
     pub fn record(&self, mut ev: Event) {
         ev.fuel = self.spent();
-        cai_obs::instant!("event/{} {} {}", ev.kind, ev.scope, ev.site);
         let obs = &*self.inner.obs;
         if ev.kind.degrades() {
             obs.degraded.store(true, Ordering::Relaxed);
             obs.degrade_events.fetch_add(1, Ordering::Relaxed);
         }
-        let mut log = obs.log.lock().unwrap_or_else(|e| e.into_inner());
+        let mut log = obs.log();
         log.blame.add(&ev);
         log.store(ev);
+    }
+
+    /// Turns span recording on or off for this budget's log (off by
+    /// default): the one switch that traces a run. [`child`](Budget::child)
+    /// and [`recovery_slice`](Budget::recovery_slice) budgets share the
+    /// switch with their parent; [`split_weighted`](Budget::split_weighted)
+    /// slices start with the parent's setting.
+    pub fn set_tracing(&self, on: bool) {
+        self.inner.obs.tracing.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether [`span`](Budget::span) records.
+    pub fn tracing(&self) -> bool {
+        self.inner.obs.tracing.load(Ordering::Relaxed)
+    }
+
+    /// Opens a span named `name()`, recorded in this budget's trace when
+    /// the guard drops. While tracing is off it returns `None` without
+    /// calling `name`, so a formatted name costs nothing then. Bind the
+    /// guard (`let _span = …`): an unbound one closes at once.
+    #[must_use]
+    pub fn span<N: Into<String>>(&self, name: impl FnOnce() -> N) -> Option<SpanGuard> {
+        self.tracing().then(|| SpanGuard {
+            obs: self.inner.obs.clone(),
+            name: name().into(),
+            thread: std::thread::current().id(),
+            start: clock::now(),
+        })
     }
 
     /// `true` if any governed operation has degraded under this budget.
@@ -412,8 +456,9 @@ impl Budget {
     /// parallel workers, one per entry of `weights`: each slice gets a
     /// share of the fuel remaining right now in proportion to its weight
     /// (a weight of 0 is treated as 1 so every slice stays viable), its
-    /// own spent counter and event log, and the *same absolute*
-    /// wall-clock deadline, so no worker outlives the parent's deadline.
+    /// own spent counter and event and span log (traced if this budget
+    /// is), and the *same absolute* wall-clock deadline, so no worker
+    /// outlives the parent's deadline.
     /// The rounding leftover — always fewer ticks than there are slices —
     /// goes one tick apiece to the slices with the largest discarded
     /// fractional share, ties broken by index, so the allocation is a
@@ -473,7 +518,10 @@ impl Budget {
                     exhausted,
                     Some(self.inner.clone()),
                     false,
-                    Arc::default(),
+                    Arc::new(Obs {
+                        tracing: AtomicBool::new(self.tracing()),
+                        ..Obs::default()
+                    }),
                 )
             })
             .collect()
@@ -528,7 +576,7 @@ impl Budget {
 
     /// A snapshot of everything observed so far.
     pub fn report(&self) -> DegradationReport {
-        let log = self.inner.obs.log.lock().unwrap_or_else(|e| e.into_inner());
+        let log = self.inner.obs.log();
         DegradationReport {
             degraded: self.degraded(),
             exhausted: self.inner.exhausted.load(Ordering::Relaxed),
@@ -541,6 +589,29 @@ impl Budget {
 impl Default for Budget {
     fn default() -> Budget {
         Budget::unlimited()
+    }
+}
+
+/// An open span of a traced budget (see [`Budget::span`]); dropping it
+/// records the span, with its thread and its duration read through
+/// [`clock::now`], in the budget's trace.
+#[derive(Debug)]
+pub struct SpanGuard {
+    obs: Arc<Obs>,
+    name: String,
+    thread: ThreadId,
+    start: Instant,
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let span = Span {
+            name: std::mem::take(&mut self.name),
+            thread: self.thread,
+            start: self.start,
+            dur: clock::now().duration_since(self.start),
+        };
+        self.obs.log().trace.push(span);
     }
 }
 
@@ -927,6 +998,48 @@ mod tests {
                 .count("(top)", "test/b", LossKind::BudgetDegrade),
             1
         );
+    }
+
+    #[test]
+    fn untraced_budget_records_no_spans() {
+        let b = Budget::unlimited();
+        assert!(!b.tracing());
+        let span = b.span(|| -> String { unreachable!("name built while tracing is off") });
+        assert!(span.is_none());
+        // A slice of an untraced budget is untraced too.
+        let slice = &b.split_weighted(&[1])[0];
+        assert!(slice.span(|| "off").is_none());
+        assert!(b.report().trace.spans.is_empty());
+        assert!(slice.report().trace.spans.is_empty());
+    }
+
+    #[test]
+    fn spans_land_in_the_run_report() {
+        let parent = Budget::unlimited();
+        parent.set_tracing(true);
+        {
+            let _outer = parent.span(|| "test/outer");
+            // Child and recovery budgets share the parent's log and switch…
+            let _child = parent.child(None, None).span(|| "test/child");
+            let _rec = parent.recovery_slice(5).span(|| format!("test/rec-{}", 1));
+        }
+        // …while a split slice keeps its own log, traced like its parent.
+        let slice = parent.split_weighted(&[1, 1]).remove(0);
+        assert!(slice.tracing());
+        drop(slice.span(|| "test/slice"));
+        let mut report = parent.report();
+        let names: Vec<&str> = report.trace.spans.iter().map(|s| s.name.as_str()).collect();
+        // Spans close inside out.
+        assert_eq!(names, ["test/rec-1", "test/child", "test/outer"]);
+        report.merge(&slice.report());
+        assert_eq!(report.trace.spans.len(), 4);
+        assert_eq!(report.trace.dropped, 0);
+        let json = report.trace.to_chrome_json();
+        assert_eq!(json.matches(r#""ph":"X""#).count(), 4);
+        // Switching off stops recording.
+        parent.set_tracing(false);
+        assert!(parent.span(|| "test/late").is_none());
+        assert_eq!(parent.report().trace.spans.len(), 3);
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //!   variables that occur in neither component presentation (no
 //!   `Alternate` definition can mention them, so dropping them is exact).
 //!
-//! [`JoinStats`] exposes counters for all of the above; enable the
-//! `cai-obs` tracer (`cai_obs::trace::set_enabled`, or `--trace-out` on
-//! the report binaries) for per-phase span timings, or run `perfbench`
-//! for an end-to-end per-layer report.
+//! [`JoinStats`] exposes counters for all of the above. For per-phase
+//! span timings, give the product a traced budget
+//! ([`Budget::set_tracing`], or `--trace-out` on the report binaries):
+//! every phase then lands in that run's report. For an end-to-end
+//! per-layer report, run `perfbench`.
 
 use crate::budget::Budget;
 use crate::cache::{CacheConfig, TermMemo};
@@ -54,6 +55,15 @@ use cai_term::{
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
+
+/// Evaluates `$body` inside a span named `$name` on `$product`'s budget;
+/// the name is built only while that budget traces ([`Budget::span`]).
+macro_rules! spanned {
+    ($product:expr, $name:expr, $body:expr) => {{
+        let _span = $product.budget.span(|| $name);
+        $body
+    }};
+}
 
 /// Shared observability counters for the logical product's join and
 /// quantification pipelines. Cloning shares the counts, so one
@@ -573,7 +583,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             }
             SplitLookup::Partial(base) => {
                 self.stats.count(|c| c.cache_partial_hits += 1);
-                cai_obs::spanned!("split/resume", self.split_resumed(e, base))
+                spanned!(self, "split/resume", self.split_resumed(e, base))
             }
             SplitLookup::Miss => {
                 self.stats.count(|c| c.cache_misses += 1);
@@ -803,14 +813,19 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         v1: &VarSet,
         label: &'static str,
     ) -> Conj {
-        let (v2, defs) = cai_obs::spanned!(
+        let (v2, defs) = spanned!(
+            self,
             format!("{label}/qsat"),
             self.q_saturation(&s.left, &s.right, v1)
         );
-        let e12 = cai_obs::spanned!(format!("{label}/q1"), self.d1.exists(&s.left, &v2));
-        let e22 = cai_obs::spanned!(format!("{label}/q2"), self.d2.exists(&s.right, &v2));
+        let e12 = spanned!(self, format!("{label}/q1"), self.d1.exists(&s.left, &v2));
+        let e22 = spanned!(self, format!("{label}/q2"), self.d2.exists(&s.right, &v2));
         let mixed = self.d1.to_conj(&e12).and(&self.d2.to_conj(&e22));
-        cai_obs::spanned!(format!("{label}/subst-defs"), self.subst_defs(mixed, &defs))
+        spanned!(
+            self,
+            format!("{label}/subst-defs"),
+            self.subst_defs(mixed, &defs)
+        )
     }
 
     /// The shared implementation of join and widening (the paper constructs
@@ -832,11 +847,11 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
             return self.fallback_join(el, er);
         }
         // Figure 6, lines 1–4.
-        let (pl, sl) = cai_obs::spanned!("join/split-left", self.split(el));
+        let (pl, sl) = spanned!(self, "join/split-left", self.split(el));
         if sl.bottom {
             return er.clone();
         }
-        let (pr, sr) = cai_obs::spanned!("join/split-right", self.split(er));
+        let (pr, sr) = spanned!(self, "join/split-right", self.split(er));
         if sr.bottom {
             return el.clone();
         }
@@ -883,20 +898,36 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                 atoms_r.push(Atom::var_eq(y, v));
             }
         }
-        let e1l = cai_obs::spanned!("join/meet-pairs-1l", self.d1.meet_all(&sl.left, &atoms_l));
-        let e2l = cai_obs::spanned!("join/meet-pairs-2l", self.d2.meet_all(&sl.right, &atoms_l));
-        let e1r = cai_obs::spanned!("join/meet-pairs-1r", self.d1.meet_all(&sr.left, &atoms_r));
-        let e2r = cai_obs::spanned!("join/meet-pairs-2r", self.d2.meet_all(&sr.right, &atoms_r));
+        let e1l = spanned!(
+            self,
+            "join/meet-pairs-1l",
+            self.d1.meet_all(&sl.left, &atoms_l)
+        );
+        let e2l = spanned!(
+            self,
+            "join/meet-pairs-2l",
+            self.d2.meet_all(&sl.right, &atoms_l)
+        );
+        let e1r = spanned!(
+            self,
+            "join/meet-pairs-1r",
+            self.d1.meet_all(&sr.left, &atoms_r)
+        );
+        let e2r = spanned!(
+            self,
+            "join/meet-pairs-2r",
+            self.d2.meet_all(&sr.right, &atoms_r)
+        );
         // Lines 8–9: component joins (or widenings).
         let (j1, j2) = if widen {
             (
-                cai_obs::spanned!("join/widen-1", self.d1.widen(&e1l, &e1r)),
-                cai_obs::spanned!("join/widen-2", self.d2.widen(&e2l, &e2r)),
+                spanned!(self, "join/widen-1", self.d1.widen(&e1l, &e1r)),
+                spanned!(self, "join/widen-2", self.d2.widen(&e2l, &e2r)),
             )
         } else {
             (
-                cai_obs::spanned!("join/join-1", self.d1.join(&e1l, &e1r)),
-                cai_obs::spanned!("join/join-2", self.d2.join(&e2l, &e2r)),
+                spanned!(self, "join/join-1", self.d1.join(&e1l, &e1r)),
+                spanned!(self, "join/join-2", self.d2.join(&e2l, &e2r)),
             )
         };
         // Line 10: E := Q_{L1⋈L2}(E1 ∧ E2, V) — performed directly on the
@@ -921,7 +952,8 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         } else {
             self.d2.meet_all(&j2, &cross2)
         };
-        let s = cai_obs::spanned!(
+        let s = spanned!(
+            self,
             "join/saturate",
             no_saturate_budgeted(&self.d1, j1, &self.d2, j2, &self.budget)
         );
@@ -947,16 +979,14 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         pair_vars.retain(|v| occurring.contains(v));
         let pruned = (all_pairs - pair_vars.len()) as u64;
         self.stats.count(|c| c.pairs_pruned += pruned);
-        cai_obs::instant!(
-            "join/sizes pairs={} pruned={} mixed_atoms={}",
-            all_pairs,
-            all_pairs - pair_vars.len(),
-            c1.len() + c2.len()
-        );
         if pair_vars.is_empty() {
             return c1.and(&c2);
         }
-        let out = cai_obs::spanned!("join/eliminate", self.eliminate(&s, &pair_vars, "join"));
+        let out = spanned!(
+            self,
+            "join/eliminate",
+            self.eliminate(&s, &pair_vars, "join")
+        );
         // Safety net: the output may only mention the inputs' variables —
         // every pair variable and purification name must be gone. If a
         // component element carried a pruned variable that its
@@ -1054,7 +1084,7 @@ impl<D1: AbstractDomain, D2: AbstractDomain> AbstractDomain for LogicalProduct<D
             return Self::fallback_exists(e, vars);
         }
         // Figure 7, left-hand algorithm.
-        let (p, s) = cai_obs::spanned!("exists/split", self.split(e));
+        let (p, s) = spanned!(self, "exists/split", self.split(e));
         if s.bottom {
             return self.bottom();
         }

@@ -62,7 +62,9 @@ impl SizeMeasures {
 
 /// How fuel is apportioned across procedures and loops, and whether the
 /// engine runs a bounded narrowing pass after a widened loop fixpoint.
-/// See the [module docs](self).
+/// Every slice is a pure function of program sizes ([`SizeMeasures`]),
+/// incident counts and the remaining fuel: no clock, no randomness, no
+/// thread count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BudgetPolicy {
     /// The pre-policy behaviour, bit for bit: per-job slices are equal

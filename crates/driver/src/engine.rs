@@ -481,12 +481,14 @@ where
     /// still match and refreshing the cache with this run's results.
     /// Entries for procedures no longer in the module are pruned.
     pub fn analyze_with_cache(&self, module: &Module, cache: &mut SummaryCache) -> ModuleAnalysis {
-        let _span = cai_obs::span!("driver/analyze-module");
-        // The driver's own events of this run (rejected cache entries,
-        // skipped summary stores) go on a recorder of their own: the
-        // driver's budget outlives its runs, and a run reports only what
-        // it recorded.
+        // The driver's own events and spans of this run (rejected cache
+        // entries, skipped summary stores, the module span) go on a
+        // recorder of their own, traced if the driver's budget is: that
+        // budget outlives its runs, and a run reports only what it
+        // recorded.
         let run = Budget::unlimited();
+        run.set_tracing(self.cfg.budget.tracing());
+        let module_span = run.span(|| "driver/analyze-module");
         // Integrity first: a corrupted entry must be rejected before any
         // reuse decision looks at it (recompute, never wrong reuse).
         cache.reject_corrupt(&run);
@@ -643,6 +645,7 @@ where
                 CacheEntry::new(fingerprint, report, contexts),
             );
         }
+        drop(module_span);
         degradation.merge(&run.report());
         cache.absorb_faults(&degradation.blame);
         // The driver's budget contributes its fuel and flags, but not its
@@ -746,14 +749,7 @@ where
         };
         std::thread::scope(|s| {
             for _ in 1..self.threads.min(jobs) {
-                s.spawn(|| {
-                    work();
-                    // `thread::scope` returns before this thread's
-                    // thread-locals are destroyed, so hand the trace ring
-                    // to the sink now: a drain right after the analysis
-                    // must see every worker's events.
-                    cai_obs::trace::flush();
-                });
+                s.spawn(work);
             }
             work();
         });
@@ -892,12 +888,14 @@ where
     F: Fn(&Budget) -> D + Sync,
 {
     let (members, slice) = (job.members, job.slice);
-    let _span = cai_obs::span!(format!(
-        "driver/solve-scc/{}",
-        members
-            .first()
-            .map_or("<empty>", |&i| module.procs[i].name.as_str())
-    ));
+    let _span = slice.span(|| {
+        format!(
+            "driver/solve-scc/{}",
+            members
+                .first()
+                .map_or("<empty>", |&i| module.procs[i].name.as_str())
+        )
+    });
     // Context counts survive a crashed dispatch: the resolver counts into
     // this cell, which lives outside the crash guard.
     let ctx = Cell::new(CtxStats::default());
@@ -1067,7 +1065,7 @@ where
         if quarantined.contains(&proc.name) {
             return quarantined_pass(proc);
         }
-        let _span = cai_obs::span!(format!("analyze/{}", proc.name));
+        let _span = budget.span(|| format!("analyze/{}", proc.name));
         // Blame scope: every loss the attempt records is attributed to
         // this procedure (loops nest their `loop#N` labels below it).
         let _blame_scope = provenance::scope(proc.name.as_str());

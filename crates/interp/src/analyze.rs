@@ -116,30 +116,6 @@ impl AnalysisConfig {
             policy: BudgetPolicy::Flat,
         }
     }
-
-    /// Sets the widening delay.
-    pub fn widen_delay(mut self, rounds: usize) -> Self {
-        self.widen_delay = rounds;
-        self
-    }
-
-    /// Sets the iteration cap.
-    pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.max_iterations = cap;
-        self
-    }
-
-    /// Sets the governing budget.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the budget policy (see [`BudgetPolicy`]).
-    pub fn with_policy(mut self, policy: BudgetPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 impl Default for AnalysisConfig {
@@ -202,11 +178,6 @@ impl<'d, D: AbstractDomain> Analyzer<'d, D> {
     pub fn with_config(mut self, cfg: AnalysisConfig) -> Self {
         self.cfg = cfg;
         self
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
     }
 
     /// Governs the analysis by `budget`: each statement transfer ticks it,
@@ -406,7 +377,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
     ) -> D::Elem {
         let d = self.domain();
         let policy = &self.analyzer.cfg.policy;
-        let _span = cai_obs::span!("interp/narrow-pass");
+        let _span = self.budget.span(|| "interp/narrow-pass");
         let slice = self.budget.recovery_slice(policy.narrow_fuel(body_size));
         let outer_budget = std::mem::replace(&mut self.budget, slice.clone());
         let mut cur = widened;
@@ -538,7 +509,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 let mut iterations = 0usize;
                 let mut widened = false;
                 let mut forced_top = false;
-                let _span = cai_obs::span!("interp/loop-fixpoint");
+                let _span = self.budget.span(|| "interp/loop-fixpoint");
                 loop {
                     if self.budget.is_exhausted() {
                         // ⊤ is an invariant of any loop, so stopping here

@@ -13,7 +13,7 @@
 //! itself, the kind taxonomy, the thread-local scope labels, and the
 //! [`BlameTable`] fold that ranks events per `(scope, site, kind)`.
 //!
-//! Determinism, shared with the span tracer ([`crate::trace`]):
+//! Determinism:
 //!
 //! 1. **Logical rounds only.** Events carry fixpoint, Jacobi or
 //!    narrowing round numbers, never wall clock.
@@ -33,8 +33,7 @@ use std::fmt;
 use crate::metrics::escape_metric_name;
 
 /// What an [`Event`] records. Every variant has a stable string name
-/// ([`LossKind::as_str`]), shared by blame reports, JSON exports and the
-/// tracer's `event/<kind>` instants.
+/// ([`LossKind::as_str`]), shared by blame reports and JSON exports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum LossKind {
@@ -83,7 +82,7 @@ impl LossKind {
         LossKind::CacheCorruption,
     ];
 
-    /// The stable string name used in reports, JSON and tracer instants.
+    /// The stable string name used in reports and JSON.
     pub fn as_str(&self) -> &'static str {
         match self {
             LossKind::Widen => "widen",
