@@ -111,7 +111,7 @@ echo "== ledger gate (perfbench --trace 1 work counters) =="
 # ledger's row for the same workload and seed. A change that moves a
 # counter on purpose commits a fresh ledger (./bench_ledger.sh) and
 # points `ledger` at it.
-ledger=BENCH_942bf43-dirty.json
+ledger=BENCH_50e2bbb-dirty.json
 # Every perfbench build rewrites perfbench/Cargo.lock; restore the
 # committed one on exit.
 lock_backup=$(mktemp)

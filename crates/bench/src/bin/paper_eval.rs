@@ -107,7 +107,7 @@ fn deadline(ms: u64) {
     let vocab = Vocab::standard();
     for k in 1..=8usize {
         let p = parse_program(&vocab, &fig1_family(k)).expect("family parses");
-        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new());
+        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_budget(budget.clone());
         let analysis = Analyzer::new(&d).with_budget(budget.clone()).run(&p);
         let ok = analysis.assertions.iter().filter(|a| a.verified).count();
         println!(

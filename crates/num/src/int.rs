@@ -1,8 +1,8 @@
-//! Sign-and-magnitude arbitrary-precision integers.
+//! Arbitrary-precision integers: inline in `i64` range, boxed limbs beyond.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub};
 use std::str::FromStr;
 
@@ -12,9 +12,24 @@ type Limbs = Vec<u32>;
 
 /// An arbitrary-precision signed integer.
 ///
-/// `Int` is a compact sign-and-magnitude bignum sufficient for exact linear
-/// algebra: addition, subtraction, multiplication, truncated division with
+/// `Int` is a compact bignum sufficient for exact linear algebra:
+/// addition, subtraction, multiplication, truncated division with
 /// remainder, gcd, comparison, parsing and printing.
+///
+/// # Representation
+///
+/// An `Int` is one of two cases. Every value in `i64` range is stored
+/// inline, so it never allocates; only a value outside that range is
+/// stored as a boxed sign and limb magnitude. Arithmetic on two inline
+/// values runs in machine integers (`i128` holds every sum and product of
+/// two `i64`s) and promotes the result to limbs only when it leaves `i64`
+/// range.
+///
+/// The form is canonical: a value in `i64` range is never boxed, and a
+/// boxed result that shrinks back into range is demoted. So two `Int`s
+/// are structurally equal iff they are numerically equal, and the derived
+/// `Eq` and `Hash` agree with the numeric value, which lets `Int` (and
+/// [`Rat`](crate::Rat) above it) key hash maps.
 ///
 /// All binary operators are implemented for both owned values and
 /// references, so expression-heavy code does not need explicit clones:
@@ -27,98 +42,129 @@ type Limbs = Vec<u32>;
 /// assert_eq!(&a * &b, Int::from(-21));
 /// assert_eq!((&a / &b, &a % &b), (Int::from(-2), Int::from(1)));
 /// ```
-#[derive(Clone, Default)]
-pub struct Int {
-    /// -1, 0, or 1; zero iff `mag` is empty.
-    sign: i8,
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Int(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64` range, and only those.
+    Small(i64),
+    /// A value outside `i64` range.
+    Big(Box<Big>),
+}
+
+/// The sign and magnitude of a value outside `i64` range, so `mag` holds
+/// at least two limbs.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Big {
+    negative: bool,
     mag: Limbs,
 }
 
 impl Int {
     /// The integer zero.
     pub fn zero() -> Int {
-        Int {
-            sign: 0,
-            mag: Vec::new(),
-        }
+        Int(Repr::Small(0))
     }
 
     /// The integer one.
     pub fn one() -> Int {
-        Int {
-            sign: 1,
-            mag: vec![1],
-        }
+        Int(Repr::Small(1))
     }
 
     /// Returns `true` if this integer is zero.
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        matches!(self.0, Repr::Small(0))
     }
 
     /// Returns `true` if this integer is one.
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.mag == [1]
+        matches!(self.0, Repr::Small(1))
     }
 
     /// Returns `true` if this integer is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// Returns `true` if this integer is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// The sign of the integer: -1, 0, or 1.
     pub fn signum(&self) -> i8 {
-        self.sign
+        match &self.0 {
+            Repr::Small(v) => v.signum() as i8,
+            Repr::Big(b) if b.negative => -1,
+            Repr::Big(_) => 1,
+        }
     }
 
     /// The absolute value.
     pub fn abs(&self) -> Int {
-        Int {
-            sign: self.sign.abs(),
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Small(v) => Int::from_i128(v.unsigned_abs().into()),
+            Repr::Big(b) => Int::from_parts(false, b.mag.clone()),
         }
     }
 
     /// Converts to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => Some(self.sign as i64 * self.mag[0] as i64),
-            2 => {
-                let m = (self.mag[1] as u64) << 32 | self.mag[0] as u64;
-                if self.sign > 0 && m <= i64::MAX as u64 {
-                    Some(m as i64)
-                } else if self.sign < 0 && m <= i64::MAX as u64 + 1 {
-                    Some((-(m as i128)) as i64)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Big(_) => None,
         }
     }
 
-    fn from_u64(v: u64) -> Int {
+    fn from_i128(v: i128) -> Int {
+        match i64::try_from(v) {
+            Ok(v) => Int(Repr::Small(v)),
+            Err(_) => Int::from_parts(v < 0, Int::limbs(v.unsigned_abs())),
+        }
+    }
+
+    /// The trimmed limbs of a magnitude.
+    fn limbs(mut m: u128) -> Limbs {
         let mut mag = Vec::new();
-        if v as u32 != 0 || v >> 32 != 0 {
-            mag.push(v as u32);
+        while m != 0 {
+            mag.push(m as u32);
+            m >>= 32;
         }
-        if v >> 32 != 0 {
-            mag.push((v >> 32) as u32);
+        mag
+    }
+
+    /// The canonical `Int` of a sign and a trimmed magnitude: inline when
+    /// the value fits in `i64`, boxed only otherwise.
+    fn from_parts(negative: bool, mag: Limbs) -> Int {
+        if mag.len() <= 2 {
+            let m = mag
+                .iter()
+                .rev()
+                .fold(0u64, |m, &limb| m << 32 | limb as u64);
+            if !negative && m <= i64::MAX as u64 {
+                return Int(Repr::Small(m as i64));
+            }
+            if negative && m <= i64::MIN.unsigned_abs() {
+                return Int(Repr::Small((m as i64).wrapping_neg()));
+            }
         }
-        Int {
-            sign: if v == 0 { 0 } else { 1 },
-            mag,
+        Int(Repr::Big(Box::new(Big { negative, mag })))
+    }
+
+    /// The sign and magnitude, for the limb algorithms.
+    fn parts(&self) -> (bool, Cow<'_, [u32]>) {
+        match &self.0 {
+            Repr::Small(v) => (*v < 0, Cow::Owned(Int::limbs(v.unsigned_abs().into()))),
+            Repr::Big(b) => (b.negative, Cow::Borrowed(&b.mag)),
         }
     }
 
     /// Greatest common divisor; always non-negative, and `gcd(0, 0) = 0`.
     pub fn gcd(&self, other: &Int) -> Int {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return Int::from_i128(gcd_u64(a.unsigned_abs(), b.unsigned_abs()).into());
+        }
         let mut a = self.abs();
         let mut b = other.abs();
         while !b.is_zero() {
@@ -129,7 +175,8 @@ impl Int {
         a
     }
 
-    /// Checked exponentiation by a small exponent.
+    /// `self` raised to the power `exp`, by repeated squaring. The result
+    /// is exact: it leaves `i64` range for limbs rather than overflow.
     pub fn pow(&self, mut exp: u32) -> Int {
         let mut base = self.clone();
         let mut acc = Int::one();
@@ -341,11 +388,15 @@ impl Int {
         out
     }
 
-    fn normalized(sign: i8, mag: Limbs) -> Int {
-        if mag.is_empty() {
-            Int::zero()
-        } else {
-            Int { sign, mag }
+    /// The signed sum `a + b` of two sign-magnitude values.
+    fn add_parts(a_neg: bool, a: &[u32], b_neg: bool, b: &[u32]) -> Int {
+        if a_neg == b_neg {
+            return Int::from_parts(a_neg, Int::add_mag(a, b));
+        }
+        match Int::cmp_mag(a, b) {
+            Ordering::Equal => Int::zero(),
+            Ordering::Greater => Int::from_parts(a_neg, Int::sub_mag(a, b)),
+            Ordering::Less => Int::from_parts(b_neg, Int::sub_mag(b, a)),
         }
     }
 
@@ -357,24 +408,41 @@ impl Int {
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &Int) -> (Int, Int) {
         assert!(!other.is_zero(), "division by zero");
-        if self.is_zero() {
-            return (Int::zero(), Int::zero());
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return match a.checked_div(*b) {
+                Some(q) => (Int(Repr::Small(q)), Int(Repr::Small(a % b))),
+                // `i64::MIN / -1`: the quotient 2^63 leaves `i64` range.
+                None => (Int::from_i128(-(*a as i128)), Int::zero()),
+            };
         }
-        let (q, r) = Int::divmod_mag(&self.mag, &other.mag);
+        let (a_neg, a) = self.parts();
+        let (b_neg, b) = other.parts();
+        let (q, r) = Int::divmod_mag(&a, &b);
         (
-            Int::normalized(self.sign * other.sign, q),
-            Int::normalized(self.sign, r),
+            Int::from_parts(a_neg != b_neg, q),
+            Int::from_parts(a_neg, r),
         )
+    }
+}
+
+/// Euclid's gcd of two machine magnitudes.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+impl Default for Int {
+    /// The integer zero.
+    fn default() -> Int {
+        Int::zero()
     }
 }
 
 impl From<i64> for Int {
     fn from(v: i64) -> Int {
-        let mut n = Int::from_u64(v.unsigned_abs());
-        if v < 0 {
-            n.sign = -n.sign;
-        }
-        n
+        Int(Repr::Small(v))
     }
 }
 
@@ -392,22 +460,7 @@ impl From<u32> for Int {
 
 impl From<usize> for Int {
     fn from(v: usize) -> Int {
-        Int::from_u64(v as u64)
-    }
-}
-
-impl PartialEq for Int {
-    fn eq(&self, other: &Int) -> bool {
-        self.sign == other.sign && self.mag == other.mag
-    }
-}
-
-impl Eq for Int {}
-
-impl Hash for Int {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.sign.hash(state);
-        self.mag.hash(state);
+        Int::from_i128(v as i128)
     }
 }
 
@@ -419,24 +472,30 @@ impl PartialOrd for Int {
 
 impl Ord for Int {
     fn cmp(&self, other: &Int) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        let mag = Int::cmp_mag(&self.mag, &other.mag);
-        if self.sign < 0 {
-            mag.reverse()
-        } else {
-            mag
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
+            // A boxed value lies beyond every inline one, on its sign's side.
+            (Repr::Small(_), Repr::Big(b)) if b.negative => Ordering::Greater,
+            (Repr::Small(_), Repr::Big(_)) => Ordering::Less,
+            (Repr::Big(a), Repr::Small(_)) if a.negative => Ordering::Less,
+            (Repr::Big(_), Repr::Small(_)) => Ordering::Greater,
+            (Repr::Big(a), Repr::Big(b)) => match (a.negative, b.negative) {
+                (false, false) => Int::cmp_mag(&a.mag, &b.mag),
+                (true, true) => Int::cmp_mag(&b.mag, &a.mag),
+                (false, true) => Ordering::Greater,
+                (true, false) => Ordering::Less,
+            },
         }
     }
 }
 
 impl Neg for Int {
     type Output = Int;
-    fn neg(mut self) -> Int {
-        self.sign = -self.sign;
-        self
+    fn neg(self) -> Int {
+        match self.0 {
+            Repr::Small(v) => Int::from_i128(-(v as i128)),
+            Repr::Big(b) => Int::from_parts(!b.negative, b.mag),
+        }
     }
 }
 
@@ -450,44 +509,36 @@ impl Neg for &Int {
 impl Add for &Int {
     type Output = Int;
     fn add(self, other: &Int) -> Int {
-        if self.is_zero() {
-            return other.clone();
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return Int::from_i128(*a as i128 + *b as i128);
         }
-        if other.is_zero() {
-            return self.clone();
-        }
-        if self.sign == other.sign {
-            Int {
-                sign: self.sign,
-                mag: Int::add_mag(&self.mag, &other.mag),
-            }
-        } else {
-            match Int::cmp_mag(&self.mag, &other.mag) {
-                Ordering::Equal => Int::zero(),
-                Ordering::Greater => Int {
-                    sign: self.sign,
-                    mag: Int::sub_mag(&self.mag, &other.mag),
-                },
-                Ordering::Less => Int {
-                    sign: other.sign,
-                    mag: Int::sub_mag(&other.mag, &self.mag),
-                },
-            }
-        }
+        let (a_neg, a) = self.parts();
+        let (b_neg, b) = other.parts();
+        Int::add_parts(a_neg, &a, b_neg, &b)
     }
 }
 
 impl Sub for &Int {
     type Output = Int;
     fn sub(self, other: &Int) -> Int {
-        self + &(-other)
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return Int::from_i128(*a as i128 - *b as i128);
+        }
+        let (a_neg, a) = self.parts();
+        let (b_neg, b) = other.parts();
+        Int::add_parts(a_neg, &a, !b_neg, &b)
     }
 }
 
 impl Mul for &Int {
     type Output = Int;
     fn mul(self, other: &Int) -> Int {
-        Int::normalized(self.sign * other.sign, Int::mul_mag(&self.mag, &other.mag))
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return Int::from_i128(*a as i128 * *b as i128);
+        }
+        let (a_neg, a) = self.parts();
+        let (b_neg, b) = other.parts();
+        Int::from_parts(a_neg != b_neg, Int::mul_mag(&a, &b))
     }
 }
 
@@ -542,14 +593,15 @@ impl AddAssign<&Int> for Int {
 
 impl fmt::Display for Int {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
-        if self.sign < 0 {
+        let b = match &self.0 {
+            Repr::Small(v) => return write!(f, "{v}"),
+            Repr::Big(b) => b,
+        };
+        if b.negative {
             f.write_str("-")?;
         }
         // Repeated division by 10^9, collecting 9-digit chunks.
-        let mut mag = self.mag.clone();
+        let mut mag = b.mag.clone();
         let mut chunks = Vec::new();
         while !mag.is_empty() {
             let (q, r) = Int::divmod_mag(&mag, &[1_000_000_000]);
@@ -593,8 +645,11 @@ impl FromStr for Int {
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return Err(ParseIntError);
         }
-        // Split into a short leading chunk followed by exact 9-digit chunks,
-        // folding with base 10^9.
+        if let Ok(v) = s.parse::<i64>() {
+            return Ok(Int::from(v));
+        }
+        // Out of `i64` range: split into a short leading chunk followed by
+        // exact 9-digit chunks, folding with base 10^9.
         let billion = Int::from(1_000_000_000i64);
         let first_len = match digits.len() % 9 {
             0 => 9,
@@ -656,7 +711,7 @@ mod tests {
         let b: Int = "18446744073709551629".parse().unwrap();
         let (q, r) = a.div_rem(&b);
         assert_eq!(&(&q * &b) + &r, a);
-        assert!(Int::cmp_mag(&r.mag, &b.mag) == Ordering::Less);
+        assert!(r.abs() < b.abs());
     }
 
     #[test]

@@ -12,6 +12,8 @@ use std::str::FromStr;
 /// (with zero represented as `0/1`). All arithmetic re-normalizes, so two
 /// `Rat`s are structurally equal iff they are mathematically equal, which
 /// lets `Rat` serve as a hash-map key in the linear-expression layer.
+/// A rational whose numerator and denominator both fit in `i64` holds them
+/// inline and allocates nothing (see [`Int`]).
 ///
 /// ```
 /// use cai_num::{Int, Rat};
@@ -44,8 +46,11 @@ impl Rat {
             return Rat::zero();
         }
         let g = num.gcd(&den);
-        let mut num = &num / &g;
-        let mut den = &den / &g;
+        let (mut num, mut den) = if g.is_one() {
+            (num, den)
+        } else {
+            (&num / &g, &den / &g)
+        };
         if den.is_negative() {
             num = -num;
             den = -den;
@@ -188,6 +193,10 @@ impl Neg for &Rat {
 impl Add for &Rat {
     type Output = Rat;
     fn add(self, other: &Rat) -> Rat {
+        // The sum of two integers is an integer: no gcd to take.
+        if self.is_integer() && other.is_integer() {
+            return Rat::from(&self.num + &other.num);
+        }
         Rat::new(
             &(&self.num * &other.den) + &(&other.num * &self.den),
             &self.den * &other.den,
@@ -207,6 +216,9 @@ impl Mul for &Rat {
     fn mul(self, other: &Rat) -> Rat {
         if self.is_zero() || other.is_zero() {
             return Rat::zero();
+        }
+        if self.is_integer() && other.is_integer() {
+            return Rat::from(&self.num * &other.num);
         }
         Rat::new(&self.num * &other.num, &self.den * &other.den)
     }
