@@ -4,17 +4,19 @@
 #   1. supervision boundary  (catch_unwind only in the driver's supervisor)
 #   2. observability         (eprintln!/Instant::now only in cai-obs and
 #                             cai-bench)
-#   3. formatting            (cargo fmt --check)
-#   4. lint, library code    (clippy, warnings + unwrap/panic-free libs)
-#   5. lint, all targets     (clippy, warnings; tests/bins may unwrap)
-#   6. docs                  (rustdoc, warnings: no broken doc links)
-#   7. release build
-#   8. test suite
-#   9. driver tests, release build
-#  10. report binaries       (paper_eval --blame, paper_eval complexity
+#   3. per-thread state      (thread_local! only for the supervisor's
+#                             panic-hook depth and the symbol snapshot)
+#   4. formatting            (cargo fmt --check)
+#   5. lint, library code    (clippy, warnings + unwrap/panic-free libs)
+#   6. lint, all targets     (clippy, warnings; tests/bins may unwrap)
+#   7. docs                  (rustdoc, warnings: no broken doc links)
+#   8. release build
+#   9. test suite
+#  10. driver tests, release build
+#  11. report binaries       (paper_eval --blame, paper_eval complexity
 #                             compare, driver_eval --smoke, its report
 #                             and its trace)
-#  11. ledger gate           (perfbench work counters against the
+#  12. ledger gate           (perfbench work counters against the
 #                             committed benchmark ledger)
 #
 # Everything runs with --offline: the workspace has no external
@@ -45,6 +47,21 @@ strays=$(grep -rn "eprintln!\|Instant::now" crates --include="*.rs" \
     | grep -v "^crates/obs/" | grep -v "^crates/bench/" || true)
 if [ -n "$strays" ]; then
     echo "eprintln!/Instant::now outside crates/obs and crates/bench:"
+    echo "$strays"
+    exit 1
+fi
+
+echo "== per-thread state gate =="
+# Observation state (events, spans, blame scopes and rounds) lives on the
+# run's budget, never in a thread: a thread-local outlives the run that
+# set it and leaks into the next run on the same thread. Two
+# thread-locals hold no observation state: the supervisor's panic-hook
+# depth counter and the symbol table's per-thread snapshot.
+strays=$(grep -rn "thread_local!" crates --include="*.rs" \
+    | grep -v "^crates/driver/src/supervisor.rs:" \
+    | grep -v "^crates/term/src/sym.rs:" || true)
+if [ -n "$strays" ]; then
+    echo "thread_local! outside the supervisor and the symbol table:"
     echo "$strays"
     exit 1
 fi

@@ -385,7 +385,7 @@ fn sec5(run: &Budget) {
 }
 
 fn complexity(run: &Budget) {
-    header("§4.4 — measured cost of combined operators (µs, medians of 3)");
+    header("§4.4 — measured cost of combined operators (µs, medians of 9)");
     println!(
         "{:<6} {:>12} {:>12} {:>14} {:>12} {:>14}",
         "n", "J_affine", "J_uf", "J_logical", "Q_affine", "Q_logical"
@@ -426,8 +426,10 @@ fn complexity(run: &Budget) {
     }
 }
 
+/// The median of 9 back-to-back timings of `f`, in µs (with 3, a short
+/// burst of host load could set a cell).
 fn median_us(mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..3)
+    let mut samples: Vec<f64> = (0..9)
         .map(|_| {
             let t = Instant::now();
             f();
@@ -435,7 +437,7 @@ fn median_us(mut f: impl FnMut()) -> f64 {
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[1]
+    samples[samples.len() / 2]
 }
 
 fn compare(run: &Budget) {

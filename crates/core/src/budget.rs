@@ -17,11 +17,13 @@
 //!
 //! A budget is also where a run's events and spans live. [`Budget::record`]
 //! is the one emission point for every precision loss and absorbed fault:
-//! it keeps the event (at most 64 of each kind), folds it into the run's
-//! uncapped [`BlameTable`], and flags the budget degraded when the kind
-//! [degrades](LossKind::degrades). While [tracing](Budget::set_tracing) is
-//! on, [`Budget::span`] times a phase into the run's bounded [`Trace`].
-//! [`Budget::report`] hands all of it back.
+//! it stamps the event with the open [scope](Budget::scope) labels and
+//! the logical [round](Budget::set_round), keeps it (at most 64 of each
+//! kind), folds it into the run's uncapped [`BlameTable`], and flags the
+//! budget degraded when the kind [degrades](LossKind::degrades). While
+//! [tracing](Budget::set_tracing) is on, [`Budget::span`] times a phase
+//! into the run's bounded [`Trace`]. [`Budget::report`] hands all of it
+//! back.
 //!
 //! ```
 //! use cai_core::Budget;
@@ -33,7 +35,6 @@
 //! ```
 
 use std::borrow::Cow;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
@@ -51,43 +52,6 @@ const DEADLINE_CHECK_PERIOD: u64 = 256;
 /// crash-looping analysis cannot itself exhaust memory, and a frequent
 /// kind such as `widen` cannot push out a rare one such as `quarantine`.
 const MAX_EVENTS_PER_KIND: usize = 64;
-
-/// A typed failure of the analysis engine.
-///
-/// Most governed operations never return this — they degrade to a sound
-/// over-approximation instead. The error type exists for entry points that
-/// prefer a hard stop (e.g. services enforcing request deadlines).
-#[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum CaiError {
-    /// The fuel counter or wall-clock deadline was exhausted at `site`.
-    Exhausted {
-        /// The governed loop that observed exhaustion.
-        site: &'static str,
-    },
-    /// Input outside the supported fragment.
-    Invalid {
-        /// The operation that rejected the input.
-        site: &'static str,
-        /// What was wrong with it.
-        detail: String,
-    },
-}
-
-impl fmt::Display for CaiError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CaiError::Exhausted { site } => {
-                write!(f, "resource budget exhausted in {site}")
-            }
-            CaiError::Invalid { site, detail } => {
-                write!(f, "invalid input to {site}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CaiError {}
 
 /// A summary of everything a budget observed: whether any governed
 /// operation gave up, the fuel spent, every recorded [`Event`], and the
@@ -151,16 +115,15 @@ impl DegradationReport {
     }
 }
 
-/// The *observation* side of a budget — the degradation flag, the
-/// tracing switch, and the event and span log. Split out so a
+/// The *observation* side of a budget — the degrade count, the tracing
+/// switch, the blame labels, and the event and span log. Split out so a
 /// [`child`](Budget::child) budget can keep its own fuel/deadline
 /// restriction while recording everything it observes straight onto its
-/// parent's log: the supervisor hands each retry attempt a fresh
-/// restriction, and every attempt's events and spans still land in the
-/// one report the driver merges.
+/// parent's log, under its parent's labels: the supervisor hands each
+/// retry attempt a fresh restriction, and every attempt's events and
+/// spans still land in the one report the driver merges.
 #[derive(Debug, Default)]
 struct Obs {
-    degraded: AtomicBool,
     /// Monotonic count of degrading events (including events past the
     /// storage cap). Lets callers detect whether a computation degraded by
     /// comparing snapshots before and after — the memo layer uses this to
@@ -168,6 +131,8 @@ struct Obs {
     degrade_events: AtomicU64,
     /// Whether [`Budget::span`] records.
     tracing: AtomicBool,
+    /// The open scopes and the current round, stamped onto each event.
+    labels: Mutex<Labels>,
     /// The stored events, the blame table and the trace (its flags and
     /// fuel stay unset; [`Budget::report`] fills them in).
     log: Mutex<DegradationReport>,
@@ -176,6 +141,31 @@ struct Obs {
 impl Obs {
     fn log(&self) -> MutexGuard<'_, DegradationReport> {
         self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn labels(&self) -> MutexGuard<'_, Labels> {
+        self.labels.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The blame labels of the analysis running under a budget.
+#[derive(Debug, Default)]
+struct Labels {
+    /// The open scope labels, outermost first, each with the round of
+    /// its enclosing scope, restored when it closes.
+    scopes: Vec<(String, u64)>,
+    /// The current logical round (fixpoint, Jacobi or narrowing).
+    round: u64,
+}
+
+impl Labels {
+    /// The `/`-joined scope path, or `(top)` outside any scope.
+    fn path(&self) -> String {
+        if self.scopes.is_empty() {
+            return "(top)".to_string();
+        }
+        let labels: Vec<&str> = self.scopes.iter().map(|(l, _)| l.as_str()).collect();
+        labels.join("/")
     }
 }
 
@@ -325,11 +315,6 @@ impl Budget {
         Budget::build(None, Some(d))
     }
 
-    /// A budget with both a fuel cap and a wall-clock deadline.
-    pub fn fuel_and_deadline(n: u64, d: Duration) -> Budget {
-        Budget::build(Some(n), Some(d))
-    }
-
     /// Consumes `cost` ticks. Returns `true` while within budget; once it
     /// returns `false` it returns `false` forever (exhaustion is sticky).
     pub fn tick(&self, cost: u64) -> bool {
@@ -361,16 +346,6 @@ impl Budget {
         false
     }
 
-    /// Errors with [`CaiError::Exhausted`] if the budget has run out —
-    /// for callers that want a hard stop instead of degradation.
-    pub fn check(&self, site: &'static str) -> Result<(), CaiError> {
-        if self.is_exhausted() {
-            Err(CaiError::Exhausted { site })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Total ticks consumed so far.
     pub fn spent(&self) -> u64 {
         self.inner.spent.load(Ordering::Relaxed)
@@ -385,8 +360,10 @@ impl Budget {
 
     /// Records one event — the single emission point for every precision
     /// loss and absorbed fault. The event is stamped with the fuel spent
-    /// so far, stored in the shared observation log (capped per kind;
-    /// [`child`](Budget::child) and
+    /// so far and, unless [`Event::scoped`] named its scope, with the
+    /// open [scope](Budget::scope) path and the current
+    /// [round](Budget::set_round); then it is stored in the shared
+    /// observation log (capped per kind; [`child`](Budget::child) and
     /// [`recovery_slice`](Budget::recovery_slice) budgets record onto
     /// their parent's), and folded into the log's blame table. A kind
     /// that [degrades](LossKind::degrades) also flags the budget degraded
@@ -394,13 +371,48 @@ impl Budget {
     pub fn record(&self, mut ev: Event) {
         ev.fuel = self.spent();
         let obs = &*self.inner.obs;
+        if ev.scope.is_empty() {
+            let labels = obs.labels();
+            ev.scope = labels.path();
+            ev.round = labels.round;
+        }
         if ev.kind.degrades() {
-            obs.degraded.store(true, Ordering::Relaxed);
             obs.degrade_events.fetch_add(1, Ordering::Relaxed);
         }
         let mut log = obs.log();
         log.blame.add(&ev);
         log.store(ev);
+    }
+
+    /// Opens a blame scope: `label` (a procedure name, `loop#2`, …) is
+    /// pushed onto this budget's scope path until the returned guard
+    /// drops, and every event recorded meanwhile is attributed to the
+    /// path. Entering a scope zeroes the [round](Budget::set_round);
+    /// leaving it restores the enclosing scope's round.
+    ///
+    /// The stack belongs to the one analysis running under the budget:
+    /// [`child`](Budget::child) and
+    /// [`recovery_slice`](Budget::recovery_slice) budgets share it, and
+    /// each [`split_weighted`](Budget::split_weighted) slice starts with
+    /// none. Concurrent analyses therefore take their own budget or
+    /// slice, as the driver's component jobs do.
+    #[must_use = "the scope ends when the guard drops"]
+    pub fn scope(&self, label: impl Into<String>) -> ScopeGuard {
+        let label = label.into();
+        let mut labels = self.inner.obs.labels();
+        let saved = std::mem::take(&mut labels.round);
+        labels.scopes.push((label, saved));
+        ScopeGuard {
+            obs: self.inner.obs.clone(),
+        }
+    }
+
+    /// Sets the logical round — the loop fixpoint iteration, Jacobi
+    /// round, or narrowing round — that events recorded from here on
+    /// carry, until the next call or until the enclosing
+    /// [scope](Budget::scope) closes.
+    pub fn set_round(&self, round: u64) {
+        self.inner.obs.labels().round = round;
     }
 
     /// Turns span recording on or off for this budget's log (off by
@@ -433,7 +445,7 @@ impl Budget {
 
     /// `true` if any governed operation has degraded under this budget.
     pub fn degraded(&self) -> bool {
-        self.inner.obs.degraded.load(Ordering::Relaxed)
+        self.degrade_count() > 0
     }
 
     /// Monotonic count of degrading events recorded so far (including
@@ -456,9 +468,9 @@ impl Budget {
     /// parallel workers, one per entry of `weights`: each slice gets a
     /// share of the fuel remaining right now in proportion to its weight
     /// (a weight of 0 is treated as 1 so every slice stays viable), its
-    /// own spent counter and event and span log (traced if this budget
-    /// is), and the *same absolute* wall-clock deadline, so no worker
-    /// outlives the parent's deadline.
+    /// own spent counter, event and span log (traced if this budget is)
+    /// and blame labels (no scope open), and the *same absolute*
+    /// wall-clock deadline, so no worker outlives the parent's deadline.
     /// The rounding leftover — always fewer ticks than there are slices —
     /// goes one tick apiece to the slices with the largest discarded
     /// fractional share, ties broken by index, so the allocation is a
@@ -592,6 +604,22 @@ impl Default for Budget {
     }
 }
 
+/// An open blame scope of a budget (see [`Budget::scope`]); dropping it
+/// closes the scope and restores the enclosing scope's round.
+#[derive(Debug)]
+pub struct ScopeGuard {
+    obs: Arc<Obs>,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        let mut labels = self.obs.labels();
+        if let Some((_, saved)) = labels.scopes.pop() {
+            labels.round = saved;
+        }
+    }
+}
+
 /// An open span of a traced budget (see [`Budget::span`]); dropping it
 /// records the span, with its thread and its duration read through
 /// [`clock::now`], in the budget's trace.
@@ -636,7 +664,6 @@ mod tests {
         assert!(!b.tick(2)); // only 1 left
         assert!(!b.tick(0)); // sticky even for free ticks
         assert!(b.is_exhausted());
-        assert!(b.check("here").is_err());
     }
 
     #[test]
@@ -675,6 +702,83 @@ mod tests {
         // The blame table folds every event, dropped ones included.
         let widens = r.blame.count("(top)", "test/widen", LossKind::Widen);
         assert_eq!(widens, MAX_EVENTS_PER_KIND as u64 + 10);
+    }
+
+    #[test]
+    fn events_fold_by_scope_site_kind() {
+        let b = Budget::unlimited();
+        {
+            let _p = b.scope("f");
+            let _l = b.scope("loop#0");
+            b.set_round(2);
+            assert!(b.tick(5));
+            b.record(Event::new(LossKind::Widen, "analyzer/while", ""));
+            b.set_round(4);
+            assert!(b.tick(2));
+            b.record(Event::new(LossKind::Widen, "analyzer/while", ""));
+            b.record(Event::new(
+                LossKind::NarrowFailed,
+                "analyzer/narrow",
+                "stopped",
+            ));
+        }
+        b.record(Event::new(LossKind::Quarantine, "driver/supervisor", "pinned").scoped("g"));
+        let t = b.report().blame;
+        let entries = t.entries();
+        assert_eq!(entries.len(), 3);
+        let widen = &entries[0];
+        assert_eq!(widen.scope, "f/loop#0");
+        assert_eq!((widen.kind, widen.domain), (LossKind::Widen, "interp"));
+        assert_eq!((widen.count, widen.fuel), (2, 12));
+        assert_eq!((widen.round_min, widen.round_max), (2, 4));
+        assert_eq!(t.kinds(), vec!["narrow-failed", "quarantine", "widen"]);
+        assert_eq!(t.for_scope("f").len(), 2);
+        assert_eq!(t.count("g", "driver/supervisor", LossKind::Quarantine), 1);
+        let json = t.to_json();
+        assert!(json.starts_with('[') && json.ends_with(']'));
+        assert!(json.contains(r#""scope":"f/loop#0""#), "{json}");
+    }
+
+    #[test]
+    fn scopes_restore_rounds_and_scoped_events_start_at_round_zero() {
+        let b = Budget::unlimited();
+        b.set_round(7);
+        {
+            let _p = b.scope("g");
+            b.set_round(2);
+            b.degrade("analyzer/while", "forced top");
+        }
+        b.degrade("driver/summary-fixpoint", "cap");
+        b.record(
+            Event::new(LossKind::BudgetDegrade, "driver/summary-fixpoint", "cap").scoped("p3"),
+        );
+        let events = b.report().events;
+        let (inner, outer, moved) = (&events[0], &events[1], &events[2]);
+        assert_eq!((inner.scope.as_str(), inner.round), ("g", 2));
+        assert_eq!((outer.scope.as_str(), outer.round), ("(top)", 7));
+        assert_eq!((moved.scope.as_str(), moved.round), ("p3", 0));
+    }
+
+    #[test]
+    fn child_budgets_share_the_scopes_and_slices_start_with_none() {
+        let b = Budget::unlimited();
+        let _p = b.scope("p");
+        b.set_round(3);
+        {
+            let _l = b.child(None, None).scope("loop#0");
+            b.recovery_slice(1).degrade("test/narrow", "ran dry");
+        }
+        b.degrade("test/outer", "round restored");
+        let slice = b.split_weighted(&[1]).remove(0);
+        slice.degrade("test/slice", "ran dry");
+        let labels = |r: DegradationReport| -> Vec<(String, u64)> {
+            r.events.into_iter().map(|e| (e.scope, e.round)).collect()
+        };
+        assert_eq!(
+            labels(b.report()),
+            [("p/loop#0".to_string(), 0), ("p".to_string(), 3)]
+        );
+        assert_eq!(labels(slice.report()), [("(top)".to_string(), 0)]);
     }
 
     #[test]
@@ -1040,16 +1144,5 @@ mod tests {
         parent.set_tracing(false);
         assert!(parent.span(|| "test/late").is_none());
         assert_eq!(parent.report().trace.spans.len(), 3);
-    }
-
-    #[test]
-    fn error_displays() {
-        let e = CaiError::Exhausted { site: "join" };
-        assert!(e.to_string().contains("join"));
-        let e = CaiError::Invalid {
-            site: "parse",
-            detail: "bad atom".into(),
-        };
-        assert!(e.to_string().contains("bad atom"));
     }
 }

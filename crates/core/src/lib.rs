@@ -38,7 +38,7 @@ pub mod reduce;
 mod reduced;
 mod saturate;
 
-pub use budget::{Budget, CaiError, DegradationReport, SpanGuard};
+pub use budget::{Budget, DegradationReport, ScopeGuard, SpanGuard};
 pub use cache::{CacheConfig, TermMemo, DEFAULT_TERM_MEMO_CAPACITY};
 pub use cai_obs::{BlameTable, Event, LossKind};
 pub use chaos::{ChaosConfig, ChaosDomain};

@@ -24,7 +24,6 @@
 use crate::summary::{entry_context, entry_key, instantiate_summary, summarize, Summary};
 use cai_core::{AbstractDomain, Event, LossKind};
 use cai_interp::{AnalysisConfig, Analyzer, CallResolver, CallSite, Module, Procedure};
-use cai_obs::provenance;
 use cai_term::Conj;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -80,7 +79,8 @@ struct ProcContexts {
 /// A context-aware [`CallResolver`]: resolves calls to procedures of the
 /// component being solved through their (iterating, ⊤-entry) local
 /// summaries, and calls to already-final external procedures through
-/// entry-keyed specializations computed on demand.
+/// entry-keyed specializations computed on demand (at cap 0, through
+/// their ⊤-entry summaries).
 ///
 /// One resolver serves a whole component job, so its memo persists
 /// across the Jacobi rounds and the recording pass; it is seeded with
@@ -330,7 +330,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         self.in_progress.borrow_mut().push((proc.name.clone(), key));
         // Losses inside the specialization belong to the callee, not to
         // whatever caller scope demanded it.
-        let blame_scope = provenance::scope(format!("{}@ctx", proc.name));
+        let blame_scope = self.cfg.budget.scope(format!("{}@ctx", proc.name));
         let analysis = Analyzer::new(d)
             .with_calls(self)
             .with_config(self.cfg.clone())

@@ -5,8 +5,7 @@
 use crate::callgraph::CallGraph;
 use crate::context::{ContextResolver, CtxStats};
 use crate::summary::{
-    config_fingerprint, member_fingerprint, scc_fingerprint, summarize, Fnv64, Summary,
-    SummaryResolver,
+    config_fingerprint, member_fingerprint, scc_fingerprint, summarize, write_str, Summary,
 };
 use crate::supervisor::{self, SupStats, Supervised, SupervisorCfg, Watchdog};
 use cai_core::{
@@ -14,9 +13,10 @@ use cai_core::{
     SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
-use cai_obs::provenance;
+use cai_term::Fnv1a;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -122,7 +122,7 @@ struct CacheEntry {
     /// Entry-keyed specializations of this procedure, in entry-key
     /// order, valid exactly as long as `fingerprint` matches.
     contexts: Vec<Summary>,
-    /// [`Fnv64`] digest of every reusable field above, computed when the
+    /// [`Fnv1a`] digest of every reusable field above, computed when the
     /// entry is stored and verified before any reuse decision. An entry
     /// whose content no longer matches its checksum — bit rot, a bad
     /// deserializer, a scribbling bug — is rejected and recomputed,
@@ -146,10 +146,10 @@ impl CacheEntry {
 }
 
 /// Digests one summary into an entry checksum.
-fn summary_digest(h: &mut Fnv64, s: &Summary) {
+fn summary_digest(h: &mut Fnv1a, s: &Summary) {
     h.write_u64(s.params.len() as u64);
     for v in &s.params {
-        h.write_str(v.name());
+        write_str(h, v.name());
     }
     h.write_u64(s.entry.fingerprint());
     match &s.exit {
@@ -162,16 +162,16 @@ fn summary_digest(h: &mut Fnv64, s: &Summary) {
 }
 
 /// The integrity checksum of a cache entry: every field a later run
-/// could reuse, digested with the same length-prefixed [`Fnv64`] stream
+/// could reuse, digested with the same length-prefixed [`Fnv1a`] stream
 /// the fingerprints use.
 fn entry_checksum(fingerprint: u64, report: &ProcReport, contexts: &[Summary]) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv1a::new();
     h.write_u64(fingerprint);
-    h.write_str(&report.name);
+    write_str(&mut h, &report.name);
     summary_digest(&mut h, &report.summary);
     h.write_u64(report.assertions.len() as u64);
     for a in &report.assertions {
-        h.write_str(&a.atom.to_string());
+        write_str(&mut h, &a.atom.to_string());
         h.write_u64(u64::from(a.verified));
     }
     h.write_u64(u64::from(report.diverged));
@@ -980,10 +980,10 @@ where
 /// stability check are unaffected) and the other members' summaries
 /// remain sound, just weaker where they call the quarantined one.
 ///
-/// Under a nonzero context cap, calls to *external* (already final)
-/// procedures resolve through a [`ContextResolver`] that specializes the
-/// callee on the caller's entry condition; calls within the component
-/// keep reading the Jacobi iterates context-insensitively. The job's
+/// Calls resolve through one [`ContextResolver`]: calls within the
+/// component read the Jacobi iterates context-insensitively, and under a
+/// nonzero context cap calls to *external* (already final) procedures
+/// specialize the callee on the caller's entry condition. The job's
 /// computed specializations are returned for the incremental cache.
 fn solve_scc<D, F>(
     driver: &Driver<D, F>,
@@ -1009,45 +1009,27 @@ where
         budget: b.clone(),
         ..driver.cfg.clone()
     };
-    let ctx_resolver = (driver.context_cap > 0).then(|| {
-        ContextResolver::new(
-            d,
-            module,
-            external,
-            seed,
-            driver.context_cap,
-            job_cfg(budget),
-            ctx,
-        )
-    });
+    let ctx_resolver = ContextResolver::new(
+        d,
+        module,
+        external,
+        seed,
+        driver.context_cap,
+        job_cfg(budget),
+        ctx,
+    );
 
     // One *attempt* at one procedure: analyze the body (transfers ticking
     // the attempt's budget restriction) and summarize the exit. `local`
     // holds the component members' summaries only (the Jacobi iterates);
-    // external summaries are final and read separately.
+    // external summaries are final and read by the resolver.
     let attempt_pass =
         |proc: &Procedure, local: &BTreeMap<String, Summary>, ab: &Budget| -> ProcPass {
-            let analysis = match &ctx_resolver {
-                Some(resolver) => {
-                    resolver.set_local(local.clone());
-                    Analyzer::new(d)
-                        .with_calls(resolver)
-                        .with_config(job_cfg(ab))
-                        .run(&proc.body)
-                }
-                None => {
-                    let mut table = external.clone();
-                    for (k, v) in local.iter() {
-                        table.insert(k.clone(), v.clone());
-                    }
-                    let resolver = SummaryResolver::new(&table);
-                    let analysis = Analyzer::new(d)
-                        .with_calls(&resolver)
-                        .with_config(job_cfg(ab))
-                        .run(&proc.body);
-                    analysis
-                }
-            };
+            ctx_resolver.set_local(local.clone());
+            let analysis = Analyzer::new(d)
+                .with_calls(&ctx_resolver)
+                .with_config(job_cfg(ab))
+                .run(&proc.body);
             ProcPass {
                 summary: summarize(d, &analysis.exit, proc),
                 assertions: analysis.assertions,
@@ -1067,8 +1049,9 @@ where
         }
         let _span = budget.span(|| format!("analyze/{}", proc.name));
         // Blame scope: every loss the attempt records is attributed to
-        // this procedure (loops nest their `loop#N` labels below it).
-        let _blame_scope = provenance::scope(proc.name.as_str());
+        // this procedure (loops nest their `loop#N` labels below it). The
+        // attempt's child budget shares the slice's labels.
+        let _blame_scope = budget.scope(proc.name.as_str());
         let outcome = supervisor::supervise(
             &proc.name,
             &driver.supervisor,
@@ -1076,9 +1059,7 @@ where
             sup,
             watchdog.as_ref(),
             |ab| {
-                if let Some(resolver) = &ctx_resolver {
-                    resolver.reset_in_flight();
-                }
+                ctx_resolver.reset_in_flight();
                 attempt_pass(proc, local, ab)
             },
         );
@@ -1110,22 +1091,19 @@ where
             });
         }
         sup.stalls += u64::from(watchdog.is_some_and(Watchdog::stop));
-        return (out, take_contexts(ctx_resolver));
+        return (out, ctx_resolver.into_contexts());
     }
 
     for &i in members {
         let proc = &module.procs[i];
         local.insert(proc.name.clone(), Summary::bottom(proc.params.clone()));
     }
-    // The Jacobi rounds number this thread's events until the loop ends;
-    // then the thread's own round is back.
-    let outer_round = provenance::save_round();
     let mut round = 0usize;
     loop {
         round += 1;
         // Losses recorded at this level (e.g. the round-cap degrade
         // below) carry the logical Jacobi round.
-        provenance::set_round(round as u64);
+        budget.set_round(round as u64);
         // Jacobi iteration: every member reads the previous round's
         // table, so the result is independent of member order.
         let mut next: Vec<(String, Summary)> = Vec::with_capacity(members.len());
@@ -1170,7 +1148,6 @@ where
             break;
         }
     }
-    drop(outer_round);
 
     // Recording pass under the stable summaries.
     let mut out = Vec::with_capacity(members.len());
@@ -1200,14 +1177,5 @@ where
         });
     }
     sup.stalls += u64::from(watchdog.is_some_and(Watchdog::stop));
-    (out, take_contexts(ctx_resolver))
-}
-
-fn take_contexts<D: AbstractDomain>(
-    resolver: Option<ContextResolver<'_, D>>,
-) -> BTreeMap<String, Vec<Summary>> {
-    match resolver {
-        Some(r) => r.into_contexts(),
-        None => BTreeMap::new(),
-    }
+    (out, ctx_resolver.into_contexts())
 }

@@ -8,16 +8,18 @@
 //! - [`Summary`] is an entry-keyed procedure summary — an entry
 //!   condition over the formals plus the exit constraint over the stable
 //!   formals and `ret`, both stored as domain-independent
-//!   [`Conj`](cai_term::Conj)s — applied at call sites through the
-//!   [`CallResolver`](cai_interp::CallResolver) hook. The empty entry is
-//!   ⊤, i.e. the classic context-insensitive summary, applied by
-//!   [`SummaryResolver`];
-//! - [`ContextResolver`] adds context sensitivity: at each call into an
-//!   already-final procedure it projects the caller's abstract state
-//!   onto the callee's formals ([`entry_context`]), re-analyzes the
-//!   callee from that entry, and memoizes the specialization per
-//!   `(procedure, entry-key)` — capped per procedure, with overflow
-//!   entries widened together so analysis still terminates;
+//!   [`Conj`](cai_term::Conj)s — applied at call sites by
+//!   [`instantiate_summary`]. The empty entry is ⊤, i.e. the classic
+//!   context-insensitive summary;
+//! - [`ContextResolver`] is every job's
+//!   [`CallResolver`](cai_interp::CallResolver) hook. It applies the
+//!   component's own summaries as they iterate, and adds context
+//!   sensitivity: at each call into an already-final procedure it
+//!   projects the caller's abstract state onto the callee's formals
+//!   ([`entry_context`]), re-analyzes the callee from that entry, and
+//!   memoizes the specialization per `(procedure, entry-key)` — capped
+//!   per procedure, with overflow entries widened together so analysis
+//!   still terminates. At cap 0 it applies the ⊤-entry summaries only;
 //! - [`Driver`] runs the batch off one worklist, which the calling thread
 //!   and up to [`threads`](Driver::threads)` - 1` scoped helpers drain,
 //!   so independent components run in parallel (every component job owns
@@ -53,6 +55,6 @@ pub use context::{ContextResolver, CtxStats};
 pub use engine::{Driver, ModuleAnalysis, ProcReport, SummaryCache};
 pub use summary::{
     config_fingerprint, entry_context, entry_key, instantiate_summary, member_fingerprint,
-    scc_fingerprint, summarize, Summary, SummaryResolver,
+    scc_fingerprint, summarize, Summary,
 };
 pub use supervisor::SupStats;

@@ -1,6 +1,6 @@
-//! Procedure summaries: computation, the [`CallResolver`] that applies
-//! them at call sites, and the stable fingerprints keyed by the
-//! incremental cache.
+//! Procedure summaries: computation, the call transfer that applies them
+//! at call sites ([`instantiate_summary`]), and the stable fingerprints
+//! keyed by the incremental cache.
 //!
 //! A summary is the procedure's exit constraint — analyzed from its
 //! [`entry`](Summary::entry) condition, the ⊤ entry for the
@@ -12,9 +12,10 @@
 //! one summary table serves any domain.
 
 use cai_core::AbstractDomain;
-use cai_interp::{CallResolver, CallSite, Procedure, RETURN_VAR};
-use cai_term::{Atom, Conj, Term, Var, VarSet};
+use cai_interp::{Procedure, RETURN_VAR};
+use cai_term::{Atom, Conj, Fnv1a, Term, Var, VarSet};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 /// A procedure summary: the relation between entry arguments and return
 /// value, as a conjunction over the stable formals and [`RETURN_VAR`],
@@ -221,45 +222,23 @@ fn ret_slot() -> Var {
     Var::named("$ret")
 }
 
-/// A [`CallResolver`] backed by a name → [`Summary`] table.
+/// The call transfer: instantiates `sum` for `dst := call f(args)` from
+/// state `e`:
 ///
-/// The transfer for `x := call f(e₁, …, eₙ)` from state `e`:
-///
-/// 1. rename `x` to `$dst` in `e` (the arguments may mention the
+/// 1. rename `dst` to `$dst` in `e` (the arguments may mention the
 ///    destination's *pre*-state),
-/// 2. meet `$pᵢ = eᵢ[$dst/x]` for each argument (binding fresh slots for
-///    the formals),
+/// 2. meet `$pᵢ = argsᵢ[$dst/dst]` for each argument (binding fresh
+///    slots for the formals),
 /// 3. meet every atom of the summary with formals renamed to `$pᵢ` and
 ///    `ret` renamed to `$ret`,
-/// 4. meet `x = $ret`,
+/// 4. meet `dst = $ret`,
 /// 5. project out `$dst`, every `$pᵢ`, and `$ret`.
 ///
 /// Atoms outside the domain's signature are skipped (a sound
 /// over-approximation, same routing as the analyzer's own transfers). A
-/// ⊥ summary yields ⊥ (the call never returns); a name missing from the
-/// table defers to the analyzer's havoc fallback.
-pub struct SummaryResolver<'a> {
-    summaries: &'a BTreeMap<String, Summary>,
-}
-
-impl<'a> SummaryResolver<'a> {
-    /// Wraps a summary table.
-    pub fn new(summaries: &'a BTreeMap<String, Summary>) -> SummaryResolver<'a> {
-        SummaryResolver { summaries }
-    }
-}
-
-impl<D: AbstractDomain> CallResolver<D> for SummaryResolver<'_> {
-    fn resolve_call(&self, d: &D, site: CallSite<'_, D>) -> Option<D::Elem> {
-        let sum = self.summaries.get(site.name)?;
-        Some(instantiate_summary(d, site.state, site.dst, site.args, sum))
-    }
-}
-
-/// The call transfer: instantiates `sum` for `dst := call f(args)` from
-/// state `e` (steps 1–5 of the [`SummaryResolver`] docs). Shared by the
-/// context-insensitive [`SummaryResolver`] and the context-sensitive
-/// resolver, so the two call boundaries cannot drift apart.
+/// ⊥ summary yields ⊥ (the call never returns). Every call boundary of
+/// the driver — ⊤-entry summaries and entry-keyed specializations alike —
+/// goes through this one transfer.
 pub fn instantiate_summary<D: AbstractDomain>(
     d: &D,
     e: D::Elem,
@@ -321,52 +300,12 @@ pub fn instantiate_summary<D: AbstractDomain>(
     d.exists(&cur, &elim)
 }
 
-/// A 64-bit FNV-1a stream hasher — deterministic, dependency-free, and
-/// stable across platforms and runs, which is all the incremental cache
-/// needs (fingerprints never leave the process boundary as security
-/// tokens).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Absorbs a string, length-prefixed so concatenations cannot
-    /// collide field boundaries.
-    pub fn write_str(&mut self, s: &str) {
-        self.write(&(s.len() as u64).to_le_bytes());
-        self.write(s.as_bytes());
-    }
-
-    /// Absorbs a 64-bit value.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
+/// Absorbs a string into an FNV-1a stream, length-prefixed so
+/// concatenations cannot collide field boundaries. The fingerprints and
+/// cache checksums built this way are compared only within one process.
+pub(crate) fn write_str(h: &mut Fnv1a, s: &str) {
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
 }
 
 /// The fingerprint of one strongly connected component, given the
@@ -381,15 +320,15 @@ impl Default for Fnv64 {
 /// relies on. Individual members get distinct fingerprints derived from
 /// the component hash and their name (see [`member_fingerprint`]).
 pub fn scc_fingerprint(members: &[&Procedure], external_fps: &BTreeMap<String, u64>) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv1a::new();
     h.write_u64(members.len() as u64);
     for p in members {
-        h.write_str(&p.name);
+        write_str(&mut h, &p.name);
         h.write_u64(p.params.len() as u64);
         for v in &p.params {
-            h.write_str(v.name());
+            write_str(&mut h, v.name());
         }
-        h.write_str(&p.body.to_string());
+        write_str(&mut h, &p.body.to_string());
     }
     let member_names: Vec<&str> = members.iter().map(|p| p.name.as_str()).collect();
     let mut externals: Vec<&String> = Vec::new();
@@ -407,7 +346,7 @@ pub fn scc_fingerprint(members: &[&Procedure], external_fps: &BTreeMap<String, u
     externals.sort_unstable();
     h.write_u64(externals.len() as u64);
     for name in externals {
-        h.write_str(name);
+        write_str(&mut h, name);
         h.write_u64(external_fps.get(name).copied().unwrap_or(0));
     }
     h.finish()
@@ -416,9 +355,9 @@ pub fn scc_fingerprint(members: &[&Procedure], external_fps: &BTreeMap<String, u
 /// A member's fingerprint inside its component: the component hash
 /// re-keyed by the member's name.
 pub fn member_fingerprint(scc_fp: u64, name: &str) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv1a::new();
     h.write_u64(scc_fp);
-    h.write_str(name);
+    write_str(&mut h, name);
     h.finish()
 }
 
@@ -427,7 +366,7 @@ pub fn member_fingerprint(scc_fp: u64, name: &str) -> u64 {
 /// context specializations) are invalidated when the `context_cap` knob
 /// changes — the entry keys join the dirty-cone fingerprint.
 pub fn config_fingerprint(member_fp: u64, context_cap: usize) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv1a::new();
     h.write_u64(member_fp);
     h.write_u64(context_cap as u64);
     h.finish()

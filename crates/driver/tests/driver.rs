@@ -1,7 +1,7 @@
 //! Integration tests of the interprocedural driver: summary precision,
 //! recursive fixpoints, parallel determinism, and incremental reuse.
 
-use cai_core::{Budget, Event, LossKind};
+use cai_core::Budget;
 use cai_driver::{Driver, ModuleAnalysis, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
@@ -359,23 +359,6 @@ fn summary_cache_reports_its_size() {
     assert!(cache.is_empty());
     affine().analyze_with_cache(&m, &mut cache);
     assert_eq!(cache.len(), 1);
-}
-
-#[test]
-fn a_batch_restores_the_calling_threads_round() {
-    // The Jacobi rounds of a recursive component number the events of the
-    // thread that runs it; once the batch returns, an event recorded on
-    // the calling thread is back at round 0.
-    let m = module(
-        "proc id(n) {
-             if (*) { ret := n; } else { t := call id(n); ret := t; }
-         }",
-    );
-    for threads in [1, 4] {
-        affine().threads(threads).analyze(&m);
-        let probe = Event::new(LossKind::Widen, "test/probe", "after the batch");
-        assert_eq!(probe.round, 0, "{threads} threads");
-    }
 }
 
 #[test]

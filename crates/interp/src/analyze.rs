@@ -6,7 +6,6 @@ use crate::ast::{stmt_measures, Cond, Program, Stmt};
 use cai_core::{
     AbstractDomain, Budget, BudgetPolicy, DegradationReport, Event, LossKind, SizeMeasures,
 };
-use cai_obs::provenance;
 use cai_term::{Atom, Conj, Term, Var, VarSet};
 use std::collections::BTreeMap;
 
@@ -386,7 +385,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
             slice.record(Event::new(LossKind::NarrowFailed, "analyzer/narrow", why))
         };
         for round in 1..=policy.narrow_rounds() {
-            provenance::set_round(u64::from(round));
+            slice.set_round(u64::from(round));
             if !slice.tick(1) {
                 narrow_failed("stopped the recovery pass early");
                 break;
@@ -501,9 +500,11 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 // Blame scope: this syntactic loop's stable label. Inner
                 // loops restart their numbering on every body pass, so the
                 // label never depends on how many rounds the fixpoint took.
+                // The loop, narrowing and enclosing budgets share one label
+                // stack, so the scope outlives the budget swaps below.
                 let loop_index = self.next_loop_index;
                 self.next_loop_index += 1;
-                let _blame_scope = provenance::scope(format!("loop#{loop_index}"));
+                let _blame_scope = self.budget.scope(format!("loop#{loop_index}"));
                 let entry = e.clone();
                 let mut inv = e;
                 let mut iterations = 0usize;
@@ -523,7 +524,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                         break;
                     }
                     iterations += 1;
-                    provenance::set_round(iterations as u64);
+                    self.budget.set_round(iterations as u64);
                     self.next_loop_index = 0;
                     let enter = self.assume_cond(inv.clone(), c, true);
                     let after = self.exec_seq(body, enter, false);

@@ -112,6 +112,24 @@ fn widening_terminates_unbounded_counter() {
 }
 
 #[test]
+fn loop_scopes_belong_to_the_analyzers_budget() {
+    // A scope open on another budget labels nothing this run records.
+    let vocab = Vocab::standard();
+    let p = parse_program(&vocab, "x := 0; while (x < 100) { x := x + 1; }").unwrap();
+    let d = Polyhedra::new();
+    let other = Budget::unlimited();
+    let _outer = other.scope("outer");
+    let analysis = Analyzer::new(&d).with_budget(Budget::unlimited()).run(&p);
+    let scopes: Vec<&str> = analysis
+        .degradation
+        .events_of(LossKind::Widen)
+        .map(|e| e.scope.as_str())
+        .collect();
+    assert!(!scopes.is_empty(), "the loop widens");
+    assert!(scopes.iter().all(|s| *s == "loop#0"), "{scopes:?}");
+}
+
+#[test]
 fn havoc_forgets() {
     assert_eq!(
         with_affine("x := 1; y := x; x := *; assert(y = 1); assert(x = 1);"),

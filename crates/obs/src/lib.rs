@@ -11,11 +11,13 @@
 //! > tracing off, on, or on with a different thread count produce
 //! > bit-identical summaries (pinned by `tests/obs.rs` at the workspace root).
 //!
-//! There is no process-wide observation state: every count, event and
-//! span belongs to the run that made it. Fuel, events and spans are on the
-//! run's budget (`cai_core::DegradationReport`); operation counts are plain
-//! fields of the run's stats (`JoinStats`, `OpStats`, `CtxStats`,
-//! `SupStats`).
+//! There is no process-wide or per-thread observation state: every
+//! count, event, scope label and span belongs to the run that made it.
+//! Fuel, events and spans are on the run's budget
+//! (`cai_core::DegradationReport`), and so are the scope labels and
+//! logical round stamped onto each event (`cai_core::Budget::scope`,
+//! `cai_core::Budget::set_round`); operation counts are plain fields of
+//! the run's stats (`JoinStats`, `OpStats`, `CtxStats`, `SupStats`).
 //!
 //! The pieces:
 //!
@@ -29,7 +31,8 @@
 //!   quarantine, skipped cache store, defective Alternate, panic, stall,
 //!   cache corruption) under its procedure/loop scope, and the ranked,
 //!   deterministic [`BlameTable`] fold over a run's events. The events
-//!   themselves are recorded on the run's budget (`cai_core::Budget`).
+//!   themselves are recorded, and stamped with their scope and round, on
+//!   the run's budget (`cai_core::Budget`).
 //! * [`metrics`] — JSON escaping for the blame and trace exports.
 //!
 //! [`clock::now`] wraps `Instant::now` so governed components (budget

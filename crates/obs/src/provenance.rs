@@ -9,23 +9,24 @@
 //! detail, logical round, and the fuel spent when it happened.
 //!
 //! Events are recorded in exactly one place, `cai_core::Budget::record`,
-//! which keeps them on the run's budget. This module supplies the record
-//! itself, the kind taxonomy, the thread-local scope labels, and the
-//! [`BlameTable`] fold that ranks events per `(scope, site, kind)`.
+//! which keeps them on the run's budget and stamps each with the scope
+//! labels and logical round open on that budget (`Budget::scope`,
+//! `Budget::set_round`). This module supplies the record itself, the kind
+//! taxonomy, and the [`BlameTable`] fold that ranks events per
+//! `(scope, site, kind)`.
 //!
 //! Determinism:
 //!
 //! 1. **Logical rounds only.** Events carry fixpoint, Jacobi or
 //!    narrowing round numbers, never wall clock.
-//! 2. **Schedule-free labels.** Scopes live in thread-local stacks and
-//!    jobs are shared-nothing, so the labels a run produces do not depend
-//!    on which worker thread ran which job.
+//! 2. **Schedule-free labels.** Scopes live on the run's budget, and
+//!    every driver job has a budget slice of its own, so the labels a run
+//!    produces do not depend on which worker thread ran which job.
 //! 3. **Commutative fold.** A `(scope, site, kind)` key maps to a count,
 //!    a fuel total and a round span, all order-independent, so merging
 //!    per-job tables gives the same table at every thread count.
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,84 +142,14 @@ fn domain_for_site(site: &str) -> &'static str {
     }
 }
 
-thread_local! {
-    /// The enclosing scope labels (procedure, then loops, innermost
-    /// last) plus the saved logical round of each enclosing scope.
-    static SCOPES: RefCell<Vec<(String, u64)>> = const { RefCell::new(Vec::new()) };
-    /// The current logical round (fixpoint iteration, Jacobi round,
-    /// narrowing round), attached to every [`Event::new`].
-    static ROUND: Cell<u64> = const { Cell::new(0) };
-}
-
-/// RAII guard for one scope label; see [`scope`].
-pub struct ScopeGuard(());
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPES.with(|s| {
-            if let Some((_, saved)) = s.borrow_mut().pop() {
-                ROUND.with(|r| r.set(saved));
-            }
-        });
-    }
-}
-
-/// Pushes a scope label (a procedure name, `loop#2`, …) onto the current
-/// thread's scope stack until the returned guard drops. Entering a scope
-/// zeroes the logical round (see [`set_round`]) and restores the
-/// enclosing scope's round on exit.
-#[must_use = "the scope ends when the guard drops"]
-pub fn scope(label: impl Into<String>) -> ScopeGuard {
-    let saved = ROUND.with(|r| r.replace(0));
-    SCOPES.with(|s| s.borrow_mut().push((label.into(), saved)));
-    ScopeGuard(())
-}
-
-/// Sets the current logical round — the loop fixpoint iteration, Jacobi
-/// round, or narrowing round — attached to events recorded from here on.
-#[inline]
-pub fn set_round(round: u64) {
-    ROUND.with(|r| r.set(round));
-}
-
-/// RAII guard for a saved logical round; see [`save_round`].
-pub struct RoundGuard(u64);
-
-impl Drop for RoundGuard {
-    fn drop(&mut self) {
-        set_round(self.0);
-    }
-}
-
-/// Saves the current logical round until the returned guard drops — for
-/// a fixpoint that numbers its rounds with [`set_round`] outside a
-/// [`scope`] of its own.
-#[must_use = "the round is restored when the guard drops"]
-pub fn save_round() -> RoundGuard {
-    RoundGuard(ROUND.with(Cell::get))
-}
-
-fn current_scope() -> String {
-    SCOPES.with(|s| {
-        let s = s.borrow();
-        if s.is_empty() {
-            "(top)".to_string()
-        } else {
-            s.iter()
-                .map(|(l, _)| l.as_str())
-                .collect::<Vec<_>>()
-                .join("/")
-        }
-    })
-}
-
 /// One recorded precision loss or absorbed fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// What happened.
     pub kind: LossKind,
     /// `/`-joined scope labels, outermost first (e.g. `big/loop#0`), or
-    /// `(top)` outside any scope.
+    /// `(top)` outside any scope. Empty until the event is recorded,
+    /// unless [`scoped`](Event::scoped) named it.
     pub scope: String,
     /// The stable site string (e.g. `analyzer/while`); its prefix names
     /// the domain.
@@ -232,22 +163,23 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event under the calling thread's current scope and logical
-    /// round.
+    /// An event whose scope and logical round the recording budget
+    /// stamps: the scope path and round open on it when it is recorded.
     pub fn new(kind: LossKind, site: &'static str, detail: impl Into<Cow<'static, str>>) -> Event {
         Event {
             kind,
-            scope: current_scope(),
+            scope: String::new(),
             site,
             detail: detail.into(),
-            round: ROUND.with(Cell::get),
+            round: 0,
             fuel: 0,
         }
     }
 
-    /// Attributes the event to `scope` at round 0 — for events raised
-    /// for a procedure from outside its own scope (quarantines, stalls,
-    /// cache traffic, context-cap overflows).
+    /// Attributes the event to `scope` (non-empty) at round 0, whatever
+    /// scope is open when it is recorded — for events raised for a
+    /// procedure from outside its own scope (quarantines, stalls, cache
+    /// traffic, context-cap overflows).
     #[must_use]
     pub fn scoped(self, scope: &str) -> Event {
         Event {
@@ -455,65 +387,6 @@ impl fmt::Display for BlameTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stamped(mut ev: Event, fuel: u64) -> Event {
-        ev.fuel = fuel;
-        ev
-    }
-
-    #[test]
-    fn events_fold_by_scope_site_kind() {
-        let mut t = BlameTable::default();
-        {
-            let _p = scope("f");
-            let _l = scope("loop#0");
-            set_round(2);
-            t.add(&stamped(
-                Event::new(LossKind::Widen, "analyzer/while", ""),
-                5,
-            ));
-            set_round(4);
-            t.add(&stamped(
-                Event::new(LossKind::Widen, "analyzer/while", ""),
-                7,
-            ));
-            t.add(&Event::new(
-                LossKind::NarrowFailed,
-                "analyzer/narrow",
-                "stopped",
-            ));
-        }
-        t.add(&Event::new(LossKind::Quarantine, "driver/supervisor", "pinned").scoped("g"));
-        let entries = t.entries();
-        assert_eq!(entries.len(), 3);
-        let widen = &entries[0];
-        assert_eq!(widen.scope, "f/loop#0");
-        assert_eq!((widen.kind, widen.domain), (LossKind::Widen, "interp"));
-        assert_eq!((widen.count, widen.fuel), (2, 12));
-        assert_eq!((widen.round_min, widen.round_max), (2, 4));
-        assert_eq!(t.kinds(), vec!["narrow-failed", "quarantine", "widen"]);
-        assert_eq!(t.for_scope("f").len(), 2);
-        assert_eq!(t.count("g", "driver/supervisor", LossKind::Quarantine), 1);
-        let json = t.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains(r#""scope":"f/loop#0""#), "{json}");
-    }
-
-    #[test]
-    fn scopes_restore_rounds_and_scoped_events_start_at_round_zero() {
-        set_round(7);
-        let inner = {
-            let _p = scope("g");
-            set_round(2);
-            Event::new(LossKind::BudgetDegrade, "analyzer/while", "forced top")
-        };
-        let outer = Event::new(LossKind::BudgetDegrade, "driver/summary-fixpoint", "cap");
-        assert_eq!((inner.scope.as_str(), inner.round), ("g", 2));
-        assert_eq!((outer.scope.as_str(), outer.round), ("(top)", 7));
-        let moved = outer.scoped("p3");
-        assert_eq!((moved.scope.as_str(), moved.round), ("p3", 0));
-        set_round(0);
-    }
 
     #[test]
     fn merging_is_commutative_and_ranking_deterministic() {

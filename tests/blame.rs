@@ -83,8 +83,8 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
 }
 
 /// The export contract: with degradation faults injected, the run's
-/// blame JSON is bit-identical at 1, 2 and 4 threads — scopes are
-/// thread-local, rounds are logical, and per-job tables merge
+/// blame JSON is bit-identical at 1, 2 and 4 threads — scopes live on
+/// each job's budget slice, rounds are logical, and per-job tables merge
 /// commutatively, so the schedule leaves no trace.
 #[test]
 fn blame_json_is_identical_across_thread_counts_under_chaos() {
@@ -115,6 +115,40 @@ fn blame_json_is_identical_across_thread_counts_under_chaos() {
             a.degradation.blame.to_json(),
             "blame JSON at {threads} thread(s) differs from the 1-thread export"
         );
+    }
+}
+
+/// Scopes belong to the run's budget: a recursive batch started while a
+/// scope of another budget is open reports the blame JSON of a batch
+/// started with no scope open, at 1, 2 and 4 threads.
+#[test]
+fn a_scope_of_another_budget_never_labels_a_batch() {
+    let mut src = String::new();
+    for i in 0..6 {
+        src.push_str(&format!(
+            "proc p{i}(a) {{
+                 x := 0;
+                 while (x < a) {{ x := x + 1; }}
+                 if (*) {{ ret := x; }} else {{ r := call p{i}(a); ret := r; }}
+             }}\n"
+        ));
+    }
+    let m = parse_module(&Vocab::standard(), &src).expect("generated module parses");
+    let run = |threads: usize| {
+        Driver::new(|_| Polyhedra::new())
+            .threads(threads)
+            .with_budget(Budget::fuel(300))
+            .analyze(&m)
+            .degradation
+            .blame
+            .to_json()
+    };
+    let base = run(1);
+    assert!(base.contains(r#""scope":"p0/loop#0""#), "{base}");
+    let other = Budget::unlimited();
+    let _outer = other.scope("outer");
+    for threads in [1usize, 2, 4] {
+        assert_eq!(run(threads), base, "{threads} thread(s)");
     }
 }
 
